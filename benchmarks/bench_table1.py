@@ -26,6 +26,7 @@ import pytest
 
 from _harness import BddStatsCollector, TableCollector, star, traced_pedantic
 from conftest import bench_budget
+from repro.bdd import BACKENDS
 from repro.circuits import mcnc_suite
 from repro.core.required_time import analyze_required_times
 
@@ -175,7 +176,7 @@ def script_tasks(methods=None, circuits=None, backend=None):
     ``methods`` / ``circuits`` filter the grid (``None`` = everything);
     ``backend`` selects the BDD kernel for the BDD-bound methods (exact,
     approx1) — this is what the ``check_bdd_engine_regression.py
-    --array-backend`` gate drives to compare the kernels on identical
+    --native-backend`` gate drives to compare the kernels on identical
     row sets.
     """
     from repro.parallel import CircuitRef, estimate_cost, required_time_task
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["object", "array", "native"],
+        choices=BACKENDS,
         default=None,
         help="BDD kernel for the exact/approx1 rows "
              "(default: $REPRO_BDD_BACKEND, then the repro default)",

@@ -14,7 +14,7 @@ exists.  ``--status`` only reports what a lazy load would do (compiler,
 artifact path, availability) without building.  Exit code is 0 when the
 kernel is (or would be) available, 1 otherwise — except with
 ``--allow-fallback``, where a missing toolchain is reported but exits 0,
-mirroring the runtime's graceful degradation to the array kernel.
+mirroring the runtime's graceful degradation to the object kernel.
 
 Environment: ``REPRO_NATIVE_CC`` overrides the compiler,
 ``REPRO_NATIVE_CACHE`` the artifact directory.

@@ -15,8 +15,6 @@ Usage::
     python scripts/check_bdd_engine_regression.py --update    # re-baseline
     python scripts/check_bdd_engine_regression.py --parallel  # parallel gate
     python scripts/check_bdd_engine_regression.py --parallel --smoke
-    python scripts/check_bdd_engine_regression.py --array-backend
-    python scripts/check_bdd_engine_regression.py --array-backend --smoke
     python scripts/check_bdd_engine_regression.py --native-backend
     python scripts/check_bdd_engine_regression.py --native-backend --smoke
     python scripts/check_bdd_engine_regression.py --serve
@@ -27,29 +25,17 @@ Usage::
 ``--update`` re-measures and rewrites the ``baseline`` block (the
 ``pre_pr`` block is historical and never rewritten).
 
-``--array-backend`` switches to the ``array_backend`` section of
+``--native-backend`` switches to the ``native_backend`` section of
 ``BENCH_bdd_engine.json``: the bench_table1 BDD-bound rows are run once
-per kernel (``--backend object`` / ``--backend array``), the canonical
-rows must be bit-identical, the array kernel must beat the object kernel
-by ``min_speedup_exact`` on the node-bound exact rows (where flat-array
-storage is the whole point — see docs/BDD_BACKENDS.md), must stay above
-``min_ratio_approx1`` on the small-op-dominated approx1 rows (where the
-object kernel's C-dict recursion is intrinsically competitive), and
-``bench_ablation_engine`` under ``REPRO_BDD_BACKEND=array`` must stay
-within tolerance of its recorded array baseline.  ``--smoke`` restricts
-the gate to row parity on the fast circuits (CI configuration, no
-timing gates).
-
-``--native-backend`` switches to the ``native_backend`` section: the
-same bench_table1 BDD-bound rows are run once per kernel (``object`` /
-``array`` / ``native``) with three-way bit-identical canonical rows
-enforced every run, and the native C kernel must beat the object kernel
-by ``min_speedup_exact_vs_object`` on the exact rows and by
-``min_ratio_approx1_vs_object`` on the approx1 rows.  The full gate
-requires a working C toolchain (a silent array fallback would measure
-the wrong kernel and is treated as a failure); ``--smoke`` restricts the
-gate to three-way row parity on the fast circuits and tolerates the
-fallback (parity is then exercising the selection plumbing).
+per kernel (``--backend object`` / ``--backend native``) with
+bit-identical canonical rows enforced every run, and the native C kernel
+must beat the object kernel by ``min_speedup_exact_vs_object`` on the
+node-bound exact rows and by ``min_ratio_approx1_vs_object`` on the
+small-op-dominated approx1 rows.  The full gate requires a working C
+toolchain (a silent object fallback would measure the wrong kernel and
+is treated as a failure); ``--smoke`` restricts the gate to two-way row
+parity on the fast circuits and tolerates the fallback (parity is then
+exercising the selection plumbing).
 
 ``--eco`` switches to the ``BENCH_eco.json`` gate: ``bench_eco.py`` is
 run in script mode (``--smoke`` passes the flag through — the CI
@@ -583,7 +569,7 @@ def check_serve(update: bool, smoke: bool) -> int:
 
 
 # ----------------------------------------------------------------------
-# the object-vs-array kernel gate (BENCH_bdd_engine.json "array_backend")
+# the object-vs-native kernel gate (BENCH_bdd_engine.json "native_backend")
 # ----------------------------------------------------------------------
 def run_table1_subset(methods: str, backend: str, out: Path,
                       circuits: str | None = None) -> float:
@@ -619,31 +605,6 @@ def run_table1_subset(methods: str, backend: str, out: Path,
     return float(json.loads(out.read_text())["wall_seconds"])
 
 
-def run_ablation_array() -> float:
-    """bench_ablation_engine under ``REPRO_BDD_BACKEND=array``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["REPRO_BDD_BACKEND"] = "array"
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "--benchmark-only",
-         "benchmarks/bench_ablation_engine.py"],
-        cwd=REPO,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    elapsed = time.perf_counter() - start
-    if result.returncode != 0:
-        sys.stderr.write(result.stdout)
-        raise SystemExit(
-            f"bench_ablation_engine under array backend failed "
-            f"(rc={result.returncode})"
-        )
-    return elapsed
-
-
 def _backend_grid(methods: str, backends: tuple[str, ...],
                   circuits: str | None = None):
     """Run one table1 subset under each kernel; returns walls + rows."""
@@ -660,94 +621,6 @@ def _backend_grid(methods: str, backends: tuple[str, ...],
     return walls, rows
 
 
-def _backend_pair(methods: str, circuits: str | None = None):
-    """Run one table1 subset under both kernels; returns walls + parity."""
-    walls, rows = _backend_grid(methods, ("object", "array"), circuits)
-    parity = rows["object"] == rows["array"]
-    return walls, parity, len(rows["object"])
-
-
-def check_array_backend(update: bool, smoke: bool) -> int:
-    data = load_baseline(BASELINE_FILE)
-    section = data.get("array_backend")
-    if section is None:
-        raise SystemExit(
-            "error: BENCH_bdd_engine.json has no 'array_backend' section — "
-            "regenerate with --array-backend --update and commit it."
-        )
-    gates = section["gates"]
-
-    if smoke:
-        # CI smoke: row parity on the fast circuits only (m1 completes,
-        # m2 exercises the budget-abort row); no timing gates — those
-        # need the full grid and a quiet machine.
-        walls, parity, n = _backend_pair("exact,approx1", circuits="m1,m2")
-        print(f"smoke parity: {n} rows {'bit-identical  ok' if parity else 'DIFFER  FAIL'}")
-        return 0 if parity else 1
-
-    ok = True
-    measured: dict[str, dict[str, float]] = {}
-    ratios: dict[str, float] = {}
-    for label, methods in (("exact", "exact"), ("approx1", "approx1")):
-        walls, parity, n = _backend_pair(methods)
-        measured[f"table1_{label}"] = {
-            "object": round(walls["object"], 2),
-            "array": round(walls["array"], 2),
-        }
-        ratios[label] = walls["object"] / walls["array"]
-        if not parity:
-            print(f"table1[{label}]: PARITY FAIL — rows differ between kernels")
-            ok = False
-        else:
-            print(f"table1[{label}]: parity ok ({n} rows bit-identical)")
-        print(f"table1[{label}]: object/array speedup {ratios[label]:.2f}x")
-
-    floor = gates["min_speedup_exact"]
-    verdict = "ok" if ratios["exact"] >= floor else "FAIL"
-    if ratios["exact"] < floor:
-        ok = False
-    print(f"exact rows: array speedup {ratios['exact']:.2f}x (floor {floor:.2f}x)  {verdict}")
-
-    floor = gates["min_ratio_approx1"]
-    verdict = "ok" if ratios["approx1"] >= floor else "FAIL"
-    if ratios["approx1"] < floor:
-        ok = False
-    print(f"approx1 rows: array ratio {ratios['approx1']:.2f}x (floor {floor:.2f}x)  {verdict}")
-
-    print("running bench_ablation_engine under REPRO_BDD_BACKEND=array ...",
-          flush=True)
-    ablation = run_ablation_array()
-    measured["bench_ablation_engine_array"] = round(ablation, 2)
-    print(f"  {ablation:.2f}s")
-
-    if update:
-        section["baseline"] = dict(
-            measured, python=sys.version.split()[0]
-        )
-        BASELINE_FILE.write_text(json.dumps(data, indent=2) + "\n")
-        print(f"array_backend baseline updated in {BASELINE_FILE.name}")
-        return 0 if ok else 1
-
-    base = section["baseline"].get("bench_ablation_engine_array")
-    tolerance = gates["ablation_regression_tolerance"]
-    if base is None:
-        print("bench_ablation_engine[array]: no baseline — run --array-backend --update")
-        ok = False
-    else:
-        within = ablation <= base * (1.0 + tolerance)
-        verdict = "ok" if within else "FAIL"
-        if not within:
-            ok = False
-        print(
-            f"bench_ablation_engine[array]: {ablation:.2f}s "
-            f"(baseline {base:.2f}s +{tolerance:.0%})  {verdict}"
-        )
-    return 0 if ok else 1
-
-
-# ----------------------------------------------------------------------
-# the three-kernel native gate (BENCH_bdd_engine.json "native_backend")
-# ----------------------------------------------------------------------
 def _native_availability() -> tuple[bool, str | None]:
     """Build/load the native kernel (lazily) in-process."""
     sys.path.insert(0, str(REPO / "src"))
@@ -767,25 +640,25 @@ def check_native_backend(update: bool, smoke: bool) -> int:
     gates = section["gates"]
 
     available, reason = _native_availability()
-    kernels = ("object", "array", "native")
+    kernels = ("object", "native")
 
     if smoke:
-        # CI smoke: three-way row parity on the fast circuits (m1
+        # CI smoke: two-way row parity on the fast circuits (m1
         # completes, m2 exercises the budget-abort row); no timing gates.
-        # Without a compiler the 'native' runs degrade to the array
+        # Without a compiler the 'native' runs degrade to the object
         # kernel — parity then still exercises the selection plumbing.
         if not available:
             print(f"note: native kernel unavailable ({reason}); "
-                  f"'native' rows come from the array fallback")
+                  f"'native' rows come from the object fallback")
         walls, rows = _backend_grid("exact,approx1", kernels, circuits="m1,m2")
-        parity = all(rows[b] == rows["object"] for b in kernels[1:])
+        parity = rows["native"] == rows["object"]
         n = len(rows["object"])
         print(f"smoke parity: {n} rows x {len(kernels)} kernels "
               f"{'bit-identical  ok' if parity else 'DIFFER  FAIL'}")
         return 0 if parity else 1
 
     if not available:
-        # full mode must time the real C kernel: a silent array fallback
+        # full mode must time the real C kernel: a silent object fallback
         # would "pass" the floors with the wrong kernel under test
         print(f"native kernel unavailable ({reason}) — the full "
               f"--native-backend gate needs a C toolchain  FAIL")
@@ -798,16 +671,14 @@ def check_native_backend(update: bool, smoke: bool) -> int:
         walls, rows = _backend_grid(label, kernels)
         measured[f"table1_{label}"] = {b: round(walls[b], 2) for b in kernels}
         ratios[label] = walls["object"] / walls["native"]
-        bad = [b for b in kernels[1:] if rows[b] != rows["object"]]
-        if bad:
-            print(f"table1[{label}]: PARITY FAIL — {', '.join(bad)} rows "
-                  f"differ from object")
+        if rows["native"] != rows["object"]:
+            print(f"table1[{label}]: PARITY FAIL — native rows differ "
+                  f"from object")
             ok = False
         else:
             print(f"table1[{label}]: parity ok ({len(rows['object'])} rows "
                   f"bit-identical across {len(kernels)} kernels)")
-        print(f"table1[{label}]: object/native speedup {ratios[label]:.2f}x "
-              f"(object/array {walls['object'] / walls['array']:.2f}x)")
+        print(f"table1[{label}]: object/native speedup {ratios[label]:.2f}x")
 
     floor = gates["min_speedup_exact_vs_object"]
     verdict = "ok" if ratios["exact"] >= floor else "FAIL"
@@ -862,18 +733,13 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="with --parallel/--array-backend/--native-backend/--eco/"
-             "--serve/--interval: the fast CI smoke subset",
-    )
-    parser.add_argument(
-        "--array-backend",
-        action="store_true",
-        help="run the object-vs-array kernel gate instead",
+        help="with --parallel/--native-backend/--eco/--serve/"
+             "--interval: the fast CI smoke subset",
     )
     parser.add_argument(
         "--native-backend",
         action="store_true",
-        help="run the three-kernel (object/array/native) gate instead",
+        help="run the object-vs-native kernel gate instead",
     )
     parser.add_argument(
         "--eco",
@@ -894,8 +760,6 @@ def main() -> int:
 
     if args.parallel:
         return check_parallel(update=args.update, smoke=args.smoke)
-    if args.array_backend:
-        return check_array_backend(update=args.update, smoke=args.smoke)
     if args.native_backend:
         return check_native_backend(update=args.update, smoke=args.smoke)
     if args.eco:

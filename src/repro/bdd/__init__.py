@@ -9,12 +9,11 @@ this environment, so this package implements one from scratch:
 * :class:`~repro.bdd.manager.BddManager` — unique table, ITE with a compute
   cache, standard Boolean operators, restriction, composition, existential
   and universal quantification, satisfiability helpers.
-* :class:`~repro.bdd.array_backend.ArrayBddManager` — the array kernel:
-  same surface over flat node arrays, open-addressed tables, iterative
-  apply loops, and compacting GC (see docs/BDD_BACKENDS.md).
 * :class:`~repro.bdd.native_backend.NativeBddManager` — the native
-  kernel: the array kernel's hot loops compiled to C at first use,
-  bit-identical node sequences, graceful fallback without a compiler.
+  kernel: the same surface with the hot apply/quantify loops compiled to
+  C at first use over flat node arrays, open-addressed unique tables,
+  and compacting GC; bit-identical node sequences, graceful fallback to
+  the object kernel without a compiler (see docs/BDD_BACKENDS.md).
 * :mod:`~repro.bdd.api` — the backend :class:`~repro.bdd.api.Manager`
   protocol and the :func:`~repro.bdd.api.create_manager` factory that
   selects between the kernels (``REPRO_BDD_BACKEND`` env default).
@@ -44,7 +43,6 @@ from repro.bdd.minimal import (
 )
 
 __all__ = [
-    "ArrayBddManager",
     "BACKENDS",
     "BddManager",
     "BddNode",
@@ -63,16 +61,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Lazily expose the array and native kernels (PEP 562).
+    """Lazily expose the native kernel (PEP 562).
 
-    Both import numpy; loading them eagerly would tax every process that
-    only ever touches the default object kernel with the numpy import
-    cost.  ``create_manager`` performs the same lazy imports internally.
+    It imports numpy and ctypes; loading it eagerly would tax every
+    process that only ever touches the object kernel with that import
+    cost.  ``create_manager`` performs the same lazy import internally.
     """
-    if name == "ArrayBddManager":
-        from repro.bdd.array_backend import ArrayBddManager
-
-        return ArrayBddManager
     if name == "NativeBddManager":
         from repro.bdd.native_backend import NativeBddManager
 

@@ -6,7 +6,7 @@ hash of the C source, so editing ``kernel.c`` makes the old artifact
 stale by construction and the next load rebuilds — no timestamps, no
 build system.  Everything degrades gracefully: a missing compiler or a
 failed compile yields ``(None, reason)`` and the caller (the ``native``
-backend factory) falls back to the array kernel.
+backend factory) falls back to the object kernel.
 
 Environment knobs:
 
@@ -93,7 +93,7 @@ def build_kernel(
 
     Returns ``(artifact, None)`` on success and ``(None, reason)`` on any
     failure — no exception escapes, because a broken toolchain must
-    degrade to the array kernel, not break the run.
+    degrade to the object kernel, not break the run.
     """
     try:
         artifact = artifact_path(source)

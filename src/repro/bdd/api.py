@@ -1,32 +1,28 @@
 """The multi-backend manager surface: protocol, registry, and factory.
 
-Three interchangeable BDD kernels implement the same :class:`Manager`
+Two interchangeable BDD kernels implement the same :class:`Manager`
 surface:
 
 * ``object`` — :class:`repro.bdd.manager.BddManager`, the reference
   kernel: recursive apply operations over per-variable dict unique
   tables and bounded-dict computed tables.
-* ``array``  — :class:`repro.bdd.array_backend.ArrayBddManager`, the
-  performance kernel: flat parallel node arrays, open-addressed
-  unique tables, direct-mapped generation-tagged computed tables, an
-  iterative (explicit-stack) apply loop, and mark-and-compact garbage
-  collection.  See docs/BDD_BACKENDS.md.
 * ``native`` — :class:`repro.bdd.native_backend.NativeBddManager`, the
-  array kernel's apply/quantify loops compiled to C
-  (``_native/kernel.c``, built lazily with the system compiler).  When
-  no compiler is available the factory degrades to the array kernel,
-  bumping the ``bdd.native.fallback`` counter — no environment breaks.
+  performance kernel: apply/quantify loops in C (``_native/kernel.c``,
+  built lazily with the system compiler) over flat node arrays,
+  open-addressed unique tables, and compacting garbage collection.
+  See docs/BDD_BACKENDS.md.  When no compiler is available the factory
+  degrades to the object kernel, bumping the ``bdd.native.fallback``
+  counter — no environment breaks.
 
-All backends are drop-in for every consumer (χ engines, exact,
+Both backends are drop-in for every consumer (χ engines, exact,
 approx-1, verification): they produce identical BDD semantics, publish
 the same ``bdd.*`` telemetry counters, and report the same
 ``statistics()`` shape.  Backend choice is therefore an *observational*
 property of a run except for wall time — which is why it still keys the
-persistent result cache (`repro.cache.keys`) defensively (``native`` is
-bit-identical to ``array`` and shares its cache-key value).
+persistent result cache (`repro.cache.keys`) defensively.
 
 Selection precedence: an explicit ``backend=`` argument, then the
-``REPRO_BDD_BACKEND`` environment variable, then ``object``.
+``REPRO_BDD_BACKEND`` environment variable, then ``native``.
 """
 
 from __future__ import annotations
@@ -40,13 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BddManager, BddNode
 
 #: the recognized backend names, in documentation order
-BACKENDS = ("object", "array", "native")
+BACKENDS = ("object", "native")
 
 #: environment variable consulted when no explicit backend is given
 BACKEND_ENV = "REPRO_BDD_BACKEND"
 
 #: the default kernel when neither an argument nor the env var selects one
-#: (the native C kernel; it degrades to ``array`` without a C toolchain)
+#: (the native C kernel; it degrades to ``object`` without a C toolchain)
 DEFAULT_BACKEND = "native"
 
 
@@ -137,10 +133,6 @@ def create_manager(backend: str | None = None, **kwargs) -> "BddManager":
         from repro.bdd.native_backend import create_native_manager
 
         return create_native_manager(**kwargs)
-    if name == "array":
-        from repro.bdd.array_backend import ArrayBddManager
-
-        return ArrayBddManager(**kwargs)
     from repro.bdd.manager import BddManager
 
     return BddManager(**kwargs)
@@ -148,12 +140,9 @@ def create_manager(backend: str | None = None, **kwargs) -> "BddManager":
 
 def backend_of(manager) -> str:
     """The backend name of a live manager instance."""
-    from repro.bdd.array_backend import ArrayBddManager
     from repro.bdd.native_backend import NativeBddManager
 
-    if isinstance(manager, NativeBddManager):
-        return "native"
-    return "array" if isinstance(manager, ArrayBddManager) else "object"
+    return "native" if isinstance(manager, NativeBddManager) else "object"
 
 
 def backend_resolution(requested: str | None = None) -> dict:
@@ -163,7 +152,7 @@ def backend_resolution(requested: str | None = None) -> dict:
     ``resolved`` applies the flag > ``$REPRO_BDD_BACKEND`` > default
     precedence; ``effective`` is the kernel that would actually run —
     it differs from ``resolved`` only when ``native`` cannot build/load
-    and degrades to ``array`` (``fallback_reason`` says why).
+    and degrades to ``object`` (``fallback_reason`` says why).
     """
     resolved = resolve_backend(requested)
     effective = resolved
@@ -173,7 +162,7 @@ def backend_resolution(requested: str | None = None) -> dict:
 
         available, reason = native_status()
         if not available:
-            effective = "array"
+            effective = "object"
             fallback_reason = reason
     return {
         "requested": requested,

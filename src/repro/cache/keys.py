@@ -92,23 +92,26 @@ def _canonical_required(
 #: not silently re-key — and thereby orphan — every existing cache entry.
 _CACHE_BASELINE_BACKEND = "object"
 
+#: The ``backend`` value the native kernel keys under.  A frozen literal:
+#: it is the name of a since-removed Python kernel that was bit-identical
+#: to native and shared its entries, and keeping it keeps every digest
+#: produced under native reachable.
+_CACHE_NATIVE_BACKEND = "array"
+
 
 def _canonical_options(options: Mapping[str, object] | None) -> dict:
     """The :data:`SEMANTIC_OPTIONS` subset, with unset/False values
     dropped so explicit defaults key identically to absent options.
 
-    ``backend`` is keyed by its *effective* value: an unset option falls
+    ``backend`` is keyed by its *resolved* value: an unset option falls
     back to ``$REPRO_BDD_BACKEND``, so entries produced under an
-    env-selected array kernel can never alias object-kernel entries.
-    Two collapses keep equal results keyed equally:
+    env-selected object kernel can never alias native-kernel entries.
+    Two anchors keep existing digests reachable without a
+    :data:`SCHEMA_VERSION` bump:
 
-    * ``native`` keys as ``array`` — the native kernel is bit-identical
-      to the array kernel by construction (same node-creation sequence,
-      same budget-abort points), so the two must share cache entries;
+    * ``native`` keys as :data:`_CACHE_NATIVE_BACKEND`;
     * the historical baseline (:data:`_CACHE_BASELINE_BACKEND`) is
-      dropped like every other unset option, which keeps all
-      pre-backend digests reachable without a :data:`SCHEMA_VERSION`
-      bump.
+      dropped like every other unset option.
     """
     options = options or {}
     out = {
@@ -118,13 +121,10 @@ def _canonical_options(options: Mapping[str, object] | None) -> dict:
     }
     from repro.bdd.api import resolve_backend
 
-    effective = resolve_backend(options.get("backend"))
-    if effective == "native":
-        effective = "array"
-    if effective == _CACHE_BASELINE_BACKEND:
+    if resolve_backend(options.get("backend")) == _CACHE_BASELINE_BACKEND:
         out.pop("backend", None)
     else:
-        out["backend"] = effective
+        out["backend"] = _CACHE_NATIVE_BACKEND
     # like the baseline backend: an explicit "scalar" is the historical
     # default, so it keys identically to an absent option and existing
     # digests stay reachable.  A genuine "interval" run additionally

@@ -731,9 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(exact/approx1, the paper's §6 setup)")
     p.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="BDD kernel for --method exact/approx1: object, array, or "
-             "native (default: $REPRO_BDD_BACKEND, then 'native'; "
-             "'native' falls back to 'array' when no C compiler exists)")
+        help="BDD kernel for --method exact/approx1: object or native "
+             "(default: $REPRO_BDD_BACKEND, then 'native'; 'native' "
+             "falls back to 'object' when no C compiler exists)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="shard the analysis per output cone onto N worker "
                         "processes (0 = one per core; default 1 = serial "
@@ -818,9 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="delay semantics for the per-edit re-analysis "
                         "(docs/DELAY_MODELS.md)")
     p.add_argument("--backend", default=None, metavar="NAME",
-                   help="BDD kernel for --method exact/approx1: object, "
-                        "array, or native (default: $REPRO_BDD_BACKEND, "
-                        "then 'native')")
+                   help="BDD kernel for --method exact/approx1: object "
+                        "or native (default: $REPRO_BDD_BACKEND, then "
+                        "'native')")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="recompute dirty cones on N worker processes "
                         "(0 = one per core; default 1 = in-process)")
@@ -897,9 +897,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
                    help="per-attempt wall budget before kill-and-requeue")
     p.add_argument("--backend", default=None, metavar="NAME",
-                   help="default BDD kernel for analyses (object, array, "
-                        "or native); a request's own 'backend' option "
-                        "still wins")
+                   help="default BDD kernel for analyses (object or "
+                        "native); a request's own 'backend' option still "
+                        "wins")
     p.add_argument("--delay-model", choices=["scalar", "interval"],
                    default=None,
                    help="default delay semantics for analyses; a "

@@ -59,7 +59,7 @@ class ExactOptions:
     max_nodes: int | None = None
     reorder: bool = False
     max_leaves: int = 50_000
-    #: BDD kernel selection (``object`` / ``array`` / ``native``);
+    #: BDD kernel selection (``object`` / ``native``);
     #: ``None`` defers to the ``REPRO_BDD_BACKEND`` environment default.
     #: See :mod:`repro.bdd.api` and docs/BDD_BACKENDS.md.
     backend: str | None = None

@@ -333,7 +333,7 @@ def _analyze(
 def _backend_stamp(options: dict, manager) -> dict:
     """The BDD-kernel provenance of one run: how the request resolved,
     plus the kernel the live manager actually is (ground truth when the
-    native backend degraded to array mid-factory)."""
+    native backend degraded to object mid-factory)."""
     from repro.bdd.api import backend_of, backend_resolution
 
     stamp = backend_resolution(options.get("backend"))

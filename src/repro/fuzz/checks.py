@@ -30,9 +30,9 @@ with the engine under test:
   cache-correctness oracle of docs/CACHING.md — every fuzz case
   exercises keying, serialization, and warm reconstruction);
 * ``bdd-backend-parity`` — the BDD-bound engines (exact, approx-1)
-  re-run under every BDD kernel (``object``, ``array``, and — when it
-  built — ``native``, see docs/BDD_BACKENDS.md): the canonical
-  time-free rows — including budget-abort status — must be
+  re-run under both BDD kernels (``object`` and ``native``; skipped
+  when the native kernel did not build, see docs/BDD_BACKENDS.md): the
+  canonical time-free rows — including budget-abort status — must be
   bit-identical, so the kernels can never drift apart semantically.
 
 Any engine exception is itself a verdict (``engine-error``): a crash on
@@ -378,7 +378,7 @@ def run_differential(
     _check_cache_parity(case, suite, ran, fail, result)
 
     # ------------------------------------------------------------------
-    # backend parity: object and array BDD kernels must agree bit-exactly
+    # backend parity: object and native BDD kernels must agree bit-exactly
     # ------------------------------------------------------------------
     _check_bdd_backend_parity(
         case, suite, ran, fail, result,
@@ -460,7 +460,7 @@ def _check_bdd_backend_parity(
     result: CaseResult,
     with_exact: bool,
 ) -> None:
-    """Differential run of the BDD-bound engines under every kernel.
+    """Differential run of the BDD-bound engines under both kernels.
 
     ``exact`` and ``approx1`` are re-run once per backend (fresh manager
     each, so neither run can warm the other) and their canonical
@@ -470,9 +470,9 @@ def _check_bdd_backend_parity(
     user-observable way — including aborting at a different node
     count — is a failure the shrinker can minimize.
 
-    The ``native`` kernel joins the comparison only when it actually
-    built/loaded — under its no-compiler fallback it *is* the array
-    kernel, and a trivially-true three-way diff would overstate coverage.
+    The check runs only when the ``native`` kernel actually
+    built/loaded — under its no-compiler fallback it *is* the object
+    kernel, and a trivially-true diff would overstate coverage.
     """
     import json
 
@@ -480,10 +480,11 @@ def _check_bdd_backend_parity(
     from repro.cache.results import CachedRequiredResult
     from repro.core.required_time import analyze_required_times
 
+    if not native_status()[0]:
+        result.skipped.append("bdd-backend-parity")
+        return
     ran("bdd-backend-parity")
-    backends = ["object", "array"]
-    if native_status()[0]:
-        backends.append("native")
+    backends = ("object", "native")
     methods = [("approx1", {"max_nodes": suite.approx1_max_nodes})]
     if with_exact:
         methods.append(("exact", {"max_nodes": suite.exact_max_nodes}))
@@ -522,14 +523,12 @@ def _check_bdd_backend_parity(
                 )
                 rows = {}
                 break
-        if len(rows) == len(backends):
-            for backend in backends[1:]:
-                if rows[backend] != rows["object"]:
-                    fail(
-                        "bdd-backend-parity",
-                        f"{method}: object row != {backend} row: "
-                        f"{rows['object']} vs {rows[backend]}",
-                    )
+        if len(rows) == len(backends) and rows["native"] != rows["object"]:
+            fail(
+                "bdd-backend-parity",
+                f"{method}: object row != native row: "
+                f"{rows['object']} vs {rows['native']}",
+            )
 
 
 #: Every check name the runner can emit.

@@ -2,7 +2,7 @@
 
 The session's rows must be byte-identical no matter which execution
 substrate runs the cones: the serial worker loop vs ``jobs=2``, the
-object vs array BDD kernel (``REPRO_BDD_BACKEND``), and a warm
+object vs native BDD kernel (``REPRO_BDD_BACKEND``), and a warm
 persistent :class:`ResultCache` vs a cold one.  The paper's worked
 examples (figure4, C17) pin the actual numbers as goldens so a parity
 bug that shifts *all* substrates at once is still caught.
@@ -51,12 +51,12 @@ class TestSubstrateParity:
         assert canon(sharded) == canon(serial)
 
     @pytest.mark.parametrize("trace", TRACES, ids=IDS)
-    def test_array_backend_matches_object(self, trace, monkeypatch):
-        monkeypatch.delenv("REPRO_BDD_BACKEND", raising=False)
+    def test_native_backend_matches_object(self, trace, monkeypatch):
+        monkeypatch.setenv("REPRO_BDD_BACKEND", "object")
         with_object = replay(trace, method="exact")
-        monkeypatch.setenv("REPRO_BDD_BACKEND", "array")
-        with_array = replay(trace, method="exact")
-        assert canon(with_array) == canon(with_object)
+        monkeypatch.setenv("REPRO_BDD_BACKEND", "native")
+        with_native = replay(trace, method="exact")
+        assert canon(with_native) == canon(with_object)
 
     @pytest.mark.parametrize("trace", TRACES, ids=IDS)
     def test_warm_cache_matches_cold(self, trace, tmp_path):
@@ -105,7 +105,7 @@ class TestPaperExampleGoldens:
         }
 
     def test_c17_survives_all_substrates_at_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BDD_BACKEND", "array")
+        monkeypatch.setenv("REPRO_BDD_BACKEND", "native")
         baseline = NetworkSession(c17(), method="exact")
         session = NetworkSession(
             c17(),

@@ -1,16 +1,13 @@
-"""Unit tests for the array BDD kernel internals and the backend API.
+"""Unit tests for the flat-array node store and the backend API.
 
-The cross-kernel *semantic* parity is enforced elsewhere (the golden
-tests run under both kernels in CI, and the fuzzer's
-``bdd-backend-parity`` check diffs canonical rows case by case); this
-file targets the machinery specific to :mod:`repro.bdd.array_backend`:
-open-addressed unique tables (growth, rehash, tombstones), direct-mapped
-computed tables (generation invalidation, conflict eviction, growth),
-and the tombstone-first mark/sweep/compact garbage collector with
-live-handle remapping.
+The native kernel's Python half keeps the node store as flat arrays:
+open-addressed unique tables (growth, rehash, tombstones) and a
+tombstone-first mark/sweep/compact garbage collector with live-handle
+remapping.  This file targets that machinery, the backend registry, and
+object-vs-native parity at its sharpest points (fused quantifiers, the
+paper's example rows, budget aborts).  Row parity on generated circuits
+is the fuzzer's ``bdd-backend-parity`` check.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +15,26 @@ from hypothesis import strategies as st
 
 from repro.bdd import (
     BACKENDS,
-    ArrayBddManager,
     BddManager,
     backend_of,
     create_manager,
     resolve_backend,
 )
 from repro.bdd.api import BACKEND_ENV
-from repro.bdd.array_backend import _DirectCache, _UniqueTable, _rehash
+from repro.bdd.native_backend import (
+    NativeBddManager,
+    _rehash,
+    _UniqueTable,
+    create_native_manager,
+    native_status,
+)
 from repro.errors import BddError, ResourceLimitError
+
+HAVE_KERNEL = native_status()[0]
+
+needs_kernel = pytest.mark.skipif(
+    not HAVE_KERNEL, reason="native kernel unavailable (no C compiler?)"
+)
 
 
 # ----------------------------------------------------------------------
@@ -34,23 +42,23 @@ from repro.errors import BddError, ResourceLimitError
 # ----------------------------------------------------------------------
 class TestBackendApi:
     def test_registry(self):
-        assert BACKENDS == ("object", "array", "native")
+        assert BACKENDS == ("object", "native")
 
     def test_default_is_native(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_backend(None) == "native"
-        # native degrades to the array kernel without a C toolchain, so
-        # the factory yields an ArrayBddManager (or subclass) either way
-        assert isinstance(create_manager(), ArrayBddManager)
+        # native degrades to the object kernel without a C toolchain
+        expected = "native" if HAVE_KERNEL else "object"
+        assert backend_of(create_manager()) == expected
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert resolve_backend(None) == "array"
-        assert isinstance(create_manager(), ArrayBddManager)
+        monkeypatch.setenv(BACKEND_ENV, "object")
+        assert resolve_backend(None) == "object"
+        assert type(create_manager()) is BddManager
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert resolve_backend("object") == "object"
+        monkeypatch.setenv(BACKEND_ENV, "object")
+        assert resolve_backend("native") == "native"
 
     def test_unknown_backend_fails_loudly(self, monkeypatch):
         with pytest.raises(BddError):
@@ -61,15 +69,16 @@ class TestBackendApi:
 
     def test_backend_of(self):
         assert backend_of(BddManager()) == "object"
-        assert backend_of(ArrayBddManager()) == "array"
+        expected = "native" if HAVE_KERNEL else "object"
+        assert backend_of(create_native_manager()) == expected
 
     def test_statistics_shape_matches_object_kernel(self):
-        obj, arr = BddManager(), ArrayBddManager()
-        for m in (obj, arr):
+        obj, nat = BddManager(), create_native_manager()
+        for m in (obj, nat):
             a, b = m.add_var("a"), m.add_var("b")
             _ = (a & b) | ~a
-        assert set(obj.statistics()) == set(arr.statistics())
-        assert set(obj.statistics()["caches"]) == set(arr.statistics()["caches"])
+        assert set(obj.statistics()) == set(nat.statistics())
+        assert set(obj.statistics()["caches"]) == set(nat.statistics()["caches"])
 
 
 # ----------------------------------------------------------------------
@@ -131,61 +140,6 @@ class TestUniqueTable:
 
 
 # ----------------------------------------------------------------------
-# direct-mapped computed tables
-# ----------------------------------------------------------------------
-class TestDirectCache:
-    def test_generation_invalidation_is_a_bump(self):
-        tab = _DirectCache("t", 1 << 16, initial=16)
-        gen = tab.gen
-        tab.clear()
-        assert tab.gen == gen + 1 and tab.count == 0
-
-    def test_manager_invalidate_bumps_generation(self):
-        m = ArrayBddManager()
-        a, b = m.add_var("a"), m.add_var("b")
-        f = a & b
-        g0 = m.statistics()["cache_generation"]
-        m._invalidate_caches()
-        assert m.statistics()["cache_generation"] > g0
-        # the result is still correct after invalidation (recompute path)
-        assert (a & b) == f
-
-    def test_maybe_grow_quadruples_at_quarter_load(self):
-        tab = _DirectCache("t", 1 << 12, initial=16)
-        tab.count = 4  # 25% of 16 slots
-        tab.maybe_grow()
-        assert len(tab.keys) == 64
-        assert tab.count == 0  # entries dropped, generation reset
-
-    def test_maybe_grow_respects_bound(self):
-        tab = _DirectCache("t", 64, initial=64)
-        tab.count = 64
-        tab.maybe_grow()
-        assert len(tab.keys) == 64
-
-    def test_conflict_evictions_counted(self):
-        # drive a workload big enough that the and-table sees conflicts,
-        # then check the counter surfaces in statistics()
-        m = ArrayBddManager()
-        vs = [m.add_var(f"x{i}") for i in range(14)]
-        f = m.false
-        import random
-
-        rng = random.Random(3)
-        for _ in range(300):
-            cube = m.true
-            for v in rng.sample(vs, 9):
-                cube &= v if rng.random() < 0.5 else ~v
-            f |= cube
-        caches = m.statistics()["caches"]
-        assert caches["and"]["misses"] > 0
-        assert all(
-            set(c) == {"hits", "misses", "evictions", "entries"}
-            for c in caches.values()
-        )
-
-
-# ----------------------------------------------------------------------
 # garbage collection: tombstone sweep, compaction, handle remapping
 # ----------------------------------------------------------------------
 def _build_funcs(m, nvars=10, cubes=120, seed=11):
@@ -205,9 +159,10 @@ def _build_funcs(m, nvars=10, cubes=120, seed=11):
     return funcs
 
 
+@needs_kernel
 class TestGarbageCollect:
     def test_sweep_without_compaction_keeps_ids_stable(self):
-        m = ArrayBddManager()
+        m = NativeBddManager()
         funcs = _build_funcs(m)
         m.garbage_collect()  # flush construction temporaries first
         keep = funcs[:5]  # most remaining nodes stay live -> no compaction
@@ -221,7 +176,7 @@ class TestGarbageCollect:
         assert [m.size(f) for f in keep] == sizes
 
     def test_compaction_remaps_live_handles(self):
-        m = ArrayBddManager()
+        m = NativeBddManager()
         funcs = _build_funcs(m)
         keep = funcs[0]
         sat = m.sat_count(keep, nvars=10)
@@ -242,7 +197,7 @@ class TestGarbageCollect:
         # the node budget counts *live* rows: after a sweep the dead rows
         # must not count against max_nodes (parity with the object
         # kernel, whose freelist reuse gives the same accounting)
-        for cls in (BddManager, ArrayBddManager):
+        for cls in (BddManager, NativeBddManager):
             m = cls(max_nodes=4000)
             funcs = _build_funcs(m, nvars=8, cubes=40)
             del funcs
@@ -262,7 +217,7 @@ class TestGarbageCollect:
                 pytest.fail(f"{cls.__name__}: reclaimed budget not reusable")
 
     def test_gc_statistics(self):
-        m = ArrayBddManager()
+        m = NativeBddManager()
         funcs = _build_funcs(m)
         del funcs[1:]
         reclaimed = m.garbage_collect()
@@ -290,15 +245,15 @@ def _random_func(m, vs, rng, cubes=8):
 def test_fused_quantify_matches_unfused(seed, nq):
     import random
 
-    rng = random.Random(seed)
-    m = ArrayBddManager()
-    vs = [m.add_var(f"x{i}") for i in range(6)]
-    names = [f"x{i}" for i in rng.sample(range(6), nq)]
-    f = _random_func(m, vs, rng)
-    g = _random_func(m, vs, rng)
-    assert m.and_exists(names, f, g) == m.exists(names, f & g)
-    assert m.and_forall(names, f, g) == m.forall(names, f & g)
-    assert m.forall_implied(names, f, g) == m.forall(names, ~f | g)
+    for m in (BddManager(), create_native_manager()):
+        rng = random.Random(seed)
+        vs = [m.add_var(f"x{i}") for i in range(6)]
+        names = [f"x{i}" for i in rng.sample(range(6), nq)]
+        f = _random_func(m, vs, rng)
+        g = _random_func(m, vs, rng)
+        assert m.and_exists(names, f, g) == m.exists(names, f & g)
+        assert m.and_forall(names, f, g) == m.forall(names, f & g)
+        assert m.forall_implied(names, f, g) == m.forall(names, ~f | g)
 
 
 @settings(max_examples=15, deadline=None)
@@ -310,13 +265,13 @@ def test_fused_quantify_on_network_functions(data):
     from repro.network.verify import global_functions
 
     net = data.draw(small_networks(n_inputs=4, max_gates=6))
-    m = ArrayBddManager()
-    funcs = global_functions(net, m)
-    f = funcs[net.outputs[0]]
-    g = ~funcs[net.inputs[0]]
-    names = list(net.inputs[:2])
-    assert m.and_exists(names, f, g) == m.exists(names, f & g)
-    assert m.and_forall(names, f, g) == m.forall(names, f & g)
+    for m in (BddManager(), create_native_manager()):
+        funcs = global_functions(net, m)
+        f = funcs[net.outputs[0]]
+        g = ~funcs[net.inputs[0]]
+        names = list(net.inputs[:2])
+        assert m.and_exists(names, f, g) == m.exists(names, f & g)
+        assert m.and_forall(names, f, g) == m.forall(names, f & g)
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +295,7 @@ def test_example_circuit_rows_bit_identical(circuit, method):
     net = getattr(circuits, circuit)()
     baseline = topological_input_required_times(net, None, 0.0)
     rows = {}
-    for backend in ("object", "array"):
+    for backend in BACKENDS:
         report = analyze_required_times(
             net.copy(), method, output_required=0.0, backend=backend
         )
@@ -348,7 +303,7 @@ def test_example_circuit_rows_bit_identical(circuit, method):
             CachedRequiredResult.from_report(report, baseline).row(),
             sort_keys=True,
         )
-    assert rows["object"] == rows["array"]
+    assert rows["object"] == rows["native"]
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +314,8 @@ def test_budget_abort_parity():
     import random
 
     steps = {}
-    for cls in (BddManager, ArrayBddManager):
-        m = cls(max_nodes=300)
+    for backend in BACKENDS:
+        m = create_manager(backend, max_nodes=300)
         vs = [m.add_var(f"x{i}") for i in range(10)]
         rng = random.Random(42)
         f = m.false
@@ -373,5 +328,5 @@ def test_budget_abort_parity():
                 f |= cube
         except ResourceLimitError:
             step = i
-        steps[cls.__name__] = (step, m.statistics()["nodes_created"])
-    assert steps["BddManager"] == steps["ArrayBddManager"]
+        steps[backend] = (step, m.statistics()["nodes_created"])
+    assert steps["object"] == steps["native"]

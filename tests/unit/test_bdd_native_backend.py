@@ -1,13 +1,14 @@
 """Unit tests for the native C BDD kernel and its backend plumbing.
 
 Cross-kernel *semantic* parity is enforced by the golden suites (run
-under ``REPRO_BDD_BACKEND=native`` in CI) and the fuzzer's three-way
-``bdd-backend-parity`` check; this file targets the machinery specific
-to the native backend: the lazy build/loader (content-addressed
-artifacts, compiler-missing fallback, stale-artifact rebuild), the
-bit-identity contract at its sharpest points (node-id traces,
-budget-abort timing), the dual-authority sync around GC/reordering, and
-the uniform backend-resolution precedence every entry point shares.
+under ``REPRO_BDD_BACKEND=native`` in CI) and the fuzzer's
+object-vs-native ``bdd-backend-parity`` check; this file targets the
+machinery specific to the native backend: the lazy build/loader
+(content-addressed artifacts, compiler-missing fallback, stale-artifact
+rebuild), the bit-identity contract at its sharpest points (node-id
+traces, budget-abort timing), the dual-authority sync around
+GC/reordering, and the uniform backend-resolution precedence every
+entry point shares.
 
 Tests that need the compiled kernel skip on environments without one —
 the fallback path itself is tested compiler-or-not.
@@ -22,7 +23,6 @@ import pytest
 from repro.bdd import BACKENDS, BddManager, backend_of, create_manager
 from repro.bdd._native import build as native_build
 from repro.bdd.api import BACKEND_ENV, backend_resolution
-from repro.bdd.array_backend import ArrayBddManager
 from repro.bdd.native_backend import create_native_manager, native_status
 from repro.errors import BddError, ResourceLimitError
 from repro.obs.metrics import REGISTRY
@@ -91,11 +91,14 @@ class TestBuild:
         monkeypatch.setattr(nb, "_WARNED", set())
         with caplog.at_level(logging.WARNING, logger="repro.bdd.native"):
             manager = create_native_manager()
-        assert type(manager) is ArrayBddManager
+        assert type(manager) is BddManager
         assert counter.value == before + 1
         assert any(
-            "native BDD kernel unavailable" in rec.message for rec in caplog.records
+            "native BDD kernel unavailable" in rec.message
+            and "using object kernel" in rec.message
+            for rec in caplog.records
         )
+        assert backend_resolution("native")["effective"] == "object"
         # exit code 0 semantics: analyses still run on the fallback kernel
         a, b = manager.add_var("a"), manager.add_var("b")
         assert (a & b).id == manager._and(a.id, b.id)
@@ -129,12 +132,12 @@ class TestBuild:
 # ----------------------------------------------------------------------
 class TestResolution:
     def test_registry_contains_native(self):
-        assert BACKENDS == ("object", "array", "native")
+        assert BACKENDS == ("object", "native")
 
     def test_env_selects_native(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "native")
         manager = create_manager()
-        assert backend_of(manager) in ("native", "array")  # array = fallback
+        assert backend_of(manager) in ("native", "object")  # object = fallback
         if HAVE_KERNEL:
             assert backend_of(manager) == "native"
 
@@ -179,11 +182,11 @@ class TestResolution:
         assert "unknown BDD backend 'cudd'" in capsys.readouterr().err
 
     def test_backend_resolution_reports_fallback(self, monkeypatch):
-        info = backend_resolution("array")
+        info = backend_resolution("object")
         assert info == {
-            "requested": "array",
-            "resolved": "array",
-            "effective": "array",
+            "requested": "object",
+            "resolved": "object",
+            "effective": "object",
             "fallback_reason": None,
         }
         native = backend_resolution("native")
@@ -192,7 +195,7 @@ class TestResolution:
             assert native["effective"] == "native"
             assert native["fallback_reason"] is None
         else:
-            assert native["effective"] == "array"
+            assert native["effective"] == "object"
             assert native["fallback_reason"]
 
 
@@ -200,7 +203,7 @@ class TestResolution:
 # bit-identity: node traces and budget aborts
 # ----------------------------------------------------------------------
 def _managers():
-    return [BddManager(), ArrayBddManager(), create_native_manager()]
+    return [BddManager(), create_native_manager()]
 
 
 @needs_kernel
@@ -237,17 +240,16 @@ class TestBitIdentity:
                 pool.append(r)
                 trace.append(r)
             traces.append((trace, len(m._var)))
-        assert traces[0] == traces[1] == traces[2]
+        assert traces[0] == traces[1]
 
     def test_budget_abort_at_same_visit(self):
         """max_nodes must trip at the same op index and node count in
-        all three kernels — the abort point is part of the result."""
+        both kernels — the abort point is part of the result."""
         import random
 
         outcomes = []
         for cls in (
             lambda: BddManager(max_nodes=120),
-            lambda: ArrayBddManager(max_nodes=120),
             lambda: create_native_manager(max_nodes=120),
         ):
             random.seed(3)
@@ -264,7 +266,7 @@ class TestBitIdentity:
                     break
             outcomes.append(outcome)
         assert outcomes[0] is not None
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +274,13 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 @needs_kernel
 class TestMaintenanceParity:
-    def test_gc_swap_interleaving_matches_array(self):
+    def test_gc_swap_interleaving_matches_object(self):
+        # compared at function level: raw ids differ after the first GC,
+        # because the object kernel reuses freed ids and native does not
         import random
 
         results = []
-        for make in (ArrayBddManager, create_native_manager):
+        for make in (BddManager, create_native_manager):
             random.seed(5)
             m = make()
             vs = [m.add_var(f"x{i}") for i in range(8)]
@@ -305,13 +309,13 @@ class TestMaintenanceParity:
                     if keep and random.random() < 0.7
                     else random.choice(vs).id
                 )
-                r = getattr(m, f"_{op}")(f, g)
-                h = m._wrap(r)
+                h = m._wrap(getattr(m, f"_{op}")(f, g))
                 if random.random() < 0.5:
                     keep.append(h)
                     if len(keep) > 15:
                         keep.pop(0)
-                trace.append(r)
+                trace.append(m.sat_count(h))
+            trace.append(("live", m.live_node_count()))
             results.append((trace, [m.sat_count(h) for h in keep]))
         assert results[0] == results[1]
 
@@ -336,8 +340,18 @@ class TestMaintenanceParity:
 
 
 # ----------------------------------------------------------------------
-# cache keys: native shares array's effective value
+# cache keys: native keys under the frozen "array" literal
 # ----------------------------------------------------------------------
+#: ``required_key(parity_tree(3), "exact", ...)`` digests recorded when
+#: a separate Python kernel still answered to the name ``array``
+PARITY3_NATIVE_DIGEST = (
+    "39f239fcc874db8057b7d0b6b90b5c7c3fa8c67665e06caf5ca47934ce1f33f5"
+)
+PARITY3_OBJECT_DIGEST = (
+    "3b10ffca7fa5fac9e290d2261c7565817a085eeb11c5127ae019239a4ceea869"
+)
+
+
 class TestCacheKey:
     def test_native_keys_like_array(self, monkeypatch):
         from repro.cache.keys import required_key
@@ -345,22 +359,32 @@ class TestCacheKey:
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         net = parity_tree(3)
-        arr = required_key(net, "exact", options={"backend": "array"})
         nat = required_key(net, "exact", options={"backend": "native"})
         obj = required_key(net, "exact", options={"backend": "object"})
-        assert nat.digest == arr.digest
-        assert nat.digest != obj.digest
+        assert nat.digest == PARITY3_NATIVE_DIGEST
+        assert obj.digest == PARITY3_OBJECT_DIGEST
 
     def test_env_native_keys_like_array(self, monkeypatch):
         from repro.cache.keys import required_key
         from repro.circuits import parity_tree
 
-        net = parity_tree(3)
         monkeypatch.setenv(BACKEND_ENV, "native")
-        via_env = required_key(net, "exact", options={})
+        via_env = required_key(parity_tree(3), "exact", options={})
+        assert via_env.digest == PARITY3_NATIVE_DIGEST
+
+    def test_removed_array_name_is_unknown(self, monkeypatch):
+        # the frozen key literal is not a backend name: no alias exists
+        from repro.cache.keys import required_key
+        from repro.circuits import parity_tree
+        from repro.core.exact import ExactOptions
+
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        explicit_array = required_key(net, "exact", options={"backend": "array"})
-        assert via_env.digest == explicit_array.digest
+        with pytest.raises(BddError, match="unknown BDD backend 'array'"):
+            create_manager("array")
+        with pytest.raises(BddError, match="unknown BDD backend 'array'"):
+            ExactOptions(backend="array")
+        with pytest.raises(BddError, match="unknown BDD backend 'array'"):
+            required_key(parity_tree(3), "exact", options={"backend": "array"})
 
     def test_baseline_is_anchored_not_default(self):
         # flipping DEFAULT_BACKEND must never re-key the cache: the

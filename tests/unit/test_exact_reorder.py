@@ -19,13 +19,13 @@ REQUIRED = 2.0
 class TestExactOptions:
     def test_kwargs_round_trip(self):
         opts = ExactOptions(
-            max_nodes=1000, reorder=True, max_leaves=99, backend="array"
+            max_nodes=1000, reorder=True, max_leaves=99, backend="native"
         )
         assert opts.kwargs() == {
             "max_nodes": 1000,
             "reorder": True,
             "max_leaves": 99,
-            "backend": "array",
+            "backend": "native",
         }
 
     def test_defaults_are_off(self):
