@@ -18,6 +18,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -104,6 +105,7 @@ def build_kernel(
     cc = find_compiler()
     if cc is None:
         return None, "no C compiler found (cc/gcc/clang; set $REPRO_NATIVE_CC)"
+    tmp = None
     try:
         artifact.parent.mkdir(parents=True, exist_ok=True)
         # compile to a temp name then rename: concurrent builders race
@@ -119,14 +121,20 @@ def build_kernel(
             timeout=120,
         )
         if proc.returncode != 0:
-            os.unlink(tmp)
             detail = (proc.stderr or proc.stdout or "").strip().splitlines()
             head = detail[0] if detail else "no compiler output"
             return None, f"{Path(cc).name} failed (exit {proc.returncode}): {head}"
         os.replace(tmp, artifact)
+        tmp = None
         return artifact, None
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"build failed: {exc}"
+    finally:
+        # every failure path (non-zero exit, compiler missing, timeout)
+        # leaves the temp file behind; a successful build renamed it
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def load_kernel() -> tuple[ctypes.CDLL | None, str | None]:

@@ -140,9 +140,6 @@ def cmd_required(args: argparse.Namespace) -> int:
         return 2
     if _validate_backend(args.backend):
         return 2
-    if args.jobs < 0:
-        print(f"error: --jobs must be >= 0 (got {args.jobs})", file=sys.stderr)
-        return 2
     delays = None
     if args.delay_spec is not None:
         from repro.timing import IntervalDelayModel, delay_model_from_spec
@@ -439,7 +436,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import PROFILES, FuzzRunner, load_corpus, replay_entry
+    from repro.fuzz import (
+        FAMILIES,
+        PROFILES,
+        FuzzRunner,
+        load_corpus,
+        replay_entry,
+    )
 
     if args.replay is not None:
         entries = load_corpus(args.replay)
@@ -460,6 +463,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"error: unknown profile {args.profile!r} "
             f"(choose from {', '.join(sorted(PROFILES))})",
+            file=sys.stderr,
+        )
+        return 2
+    if args.family not in FAMILIES:
+        print(
+            f"error: unknown fuzz family {args.family!r} "
+            f"(choose from {', '.join(FAMILIES)})",
             file=sys.stderr,
         )
         return 2
@@ -505,9 +515,6 @@ def cmd_eco(args: argparse.Namespace) -> int:
     from repro.cache import ResultCache, default_cache_dir
     from repro.eco import NetworkSession, edits_from_json
 
-    if args.jobs < 0:
-        print(f"error: --jobs must be >= 0 (got {args.jobs})", file=sys.stderr)
-        return 2
     if args.backend is not None and args.method not in ("exact", "approx1"):
         print(
             f"error: --backend only applies to --method exact/approx1 "
@@ -648,9 +655,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.cache import default_cache_dir
     from repro.serve import ReproServer, ServerConfig
 
-    if args.jobs < 0:
-        print(f"error: --jobs must be >= 0 (got {args.jobs})", file=sys.stderr)
-        return 2
     if _validate_backend(args.backend):
         return 2
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
@@ -783,15 +787,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop at the first failing case")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="run cases on N worker processes (0 = one per "
-                        "core; default 1 = serial; circuit family only)")
-    p.add_argument("--family", choices=["circuit", "eco", "interval"],
-                   default="circuit",
-                   help="what each case is: a static netlist run through "
-                        "the differential checks, an edit trace replayed "
-                        "incrementally against a full-recompute parity "
-                        "oracle, or an interval-delay case checked for "
-                        "point-interval/scalar parity and widening "
-                        "monotonicity (default circuit)")
+                        "core; default 1 = serial)")
+    p.add_argument("--family", default="circuit",
+                   help="what each case is: circuit (a static netlist run "
+                        "through the differential checks; the default), "
+                        "eco (an edit trace replayed incrementally against "
+                        "a full-recompute parity oracle), or interval (an "
+                        "interval-delay case checked for point-interval/"
+                        "scalar parity and widening monotonicity)")
     p.add_argument("--replay", default=None, metavar="DIR",
                    help="replay a saved corpus instead of fuzzing")
     p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -918,6 +921,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one check for every subcommand with a worker pool
+    if getattr(args, "jobs", 0) < 0:
+        print(f"error: --jobs must be >= 0 (got {args.jobs})", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ReproError as exc:

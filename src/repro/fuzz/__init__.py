@@ -20,7 +20,9 @@ test harness:
   JSON metadata) and the replayer that turns every past failure into a
   permanent regression test;
 * :mod:`repro.fuzz.runner` — the budgeted generate → check → shrink →
-  save loop behind ``repro fuzz`` and the nightly CI job;
+  save loop behind ``repro fuzz`` and the nightly CI job, and the family
+  table (:data:`~repro.fuzz.runner.FAMILIES`) it runs: ``circuit``,
+  ``eco``, and ``interval``;
 * :mod:`repro.fuzz.eco` — the ``eco`` family: seeded *edit traces*
   replayed through an incremental :class:`~repro.eco.NetworkSession`
   against a full-recompute parity oracle after every edit;
@@ -31,17 +33,10 @@ test harness:
 """
 
 from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite, run_differential
-from repro.fuzz.corpus import (
-    CorpusEntry,
-    load_corpus,
-    replay_entry,
-    save_eco_repro,
-    save_repro,
-)
+from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry, save_repro
 from repro.fuzz.eco import (
     ECO_CHECKS,
     EcoTrace,
-    eco_failure_predicate,
     edits_replay_cleanly,
     generate_eco_trace,
     run_eco_differential,
@@ -54,7 +49,7 @@ from repro.fuzz.interval import (
     generate_interval_case,
     run_interval_differential,
 )
-from repro.fuzz.runner import FuzzReport, FuzzRunner
+from repro.fuzz.runner import FAMILIES, FuzzReport, FuzzRunner
 from repro.fuzz.shrink import case_candidates, failure_predicate, shrink_case
 
 __all__ = [
@@ -64,6 +59,7 @@ __all__ = [
     "ECO_CHECKS",
     "EcoTrace",
     "EngineSuite",
+    "FAMILIES",
     "FuzzCase",
     "FuzzProfile",
     "FuzzReport",
@@ -72,7 +68,6 @@ __all__ = [
     "IntervalCase",
     "PROFILES",
     "case_candidates",
-    "eco_failure_predicate",
     "edits_replay_cleanly",
     "failure_predicate",
     "generate_case",
@@ -84,7 +79,6 @@ __all__ = [
     "run_differential",
     "run_eco_differential",
     "run_interval_differential",
-    "save_eco_repro",
     "save_repro",
     "shrink_case",
     "shrink_eco_trace",

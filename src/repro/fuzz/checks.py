@@ -60,6 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS = 1e-9
 
+#: input count up to which the exhaustive ternary oracle runs
+ORACLE_MAX_INPUTS = 6
+#: input count up to which the exact relation is built
+EXACT_MAX_INPUTS = 7
+
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -172,10 +177,7 @@ def _oracle_minterms(n_inputs: int, cap: int = 16) -> list[int]:
 
 
 def run_differential(
-    case: "FuzzCase",
-    suite: EngineSuite | None = None,
-    oracle_max_inputs: int = 6,
-    exact_max_inputs: int = 7,
+    case: "FuzzCase", suite: EngineSuite | None = None
 ) -> CaseResult:
     """Run every engine on ``case`` and cross-examine the answers."""
     suite = suite or EngineSuite()
@@ -214,9 +216,9 @@ def run_differential(
         eng: stage(f"approx2[{eng}]", lambda e=eng: suite.approx2(case, engine=e))
         for eng in ("sat", "bdd")
     }
-    small = net.num_inputs <= oracle_max_inputs
+    small = net.num_inputs <= ORACLE_MAX_INPUTS
     rel = None
-    if net.num_inputs <= exact_max_inputs:
+    if net.num_inputs <= EXACT_MAX_INPUTS:
         rel = stage("exact", lambda: suite.exact(case))
     else:
         result.skipped.append("exact")
@@ -382,7 +384,7 @@ def run_differential(
     # ------------------------------------------------------------------
     _check_bdd_backend_parity(
         case, suite, ran, fail, result,
-        with_exact=net.num_inputs <= exact_max_inputs,
+        with_exact=net.num_inputs <= EXACT_MAX_INPUTS,
     )
 
     result.elapsed = _time.monotonic() - start

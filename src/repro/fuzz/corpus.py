@@ -14,12 +14,13 @@ from those pairs and ``replay_entry`` re-runs the differential checks,
 so every past failure becomes a permanent tier-1 regression test: once
 the underlying bug is fixed, the replay must pass forever after.
 
-Entries of the ``eco`` fuzz family carry an extra ``"eco"`` metadata
-block — the edit trace (docs/ECO.md format) and its generator seed —
-and ``replay_entry`` dispatches them to
-:func:`repro.fuzz.eco.run_eco_differential` instead of the static
-differential runner, so eco findings replay through the exact same
-corpus pipeline.
+Entries of the ``eco`` and ``interval`` fuzz families record their
+family name and carry one extra metadata block named after it: the
+edit trace (docs/ECO.md format) and its generator seed, or the width
+chain and its seed.  ``replay_entry`` looks the family up in
+:data:`repro.fuzz.runner.FAMILIES` and re-runs that family's
+differential, so every finding replays through the checks that found
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite, run_differential
+from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite
 from repro.fuzz.gen import FuzzCase
 from repro.network.blif import parse_blif_file, write_blif
 from repro.timing.delay import DelayModel
@@ -55,18 +56,20 @@ def save_repro(
     directory: str,
     case: FuzzCase,
     failures: list[CheckFailure],
-    original: FuzzCase | None = None,
+    original=None,
+    metadata: dict | None = None,
 ) -> str:
     """Write ``case`` as a corpus entry; returns the entry's base name.
 
     ``original`` is the pre-shrink case, recorded (sizes and seed only)
-    so a reader can judge how much the shrinker removed.
+    so a reader can judge how much the shrinker removed.  ``metadata``
+    overrides or extends the written fields: a family whose cases wrap
+    ``case`` as their base circuit passes its own ``case_id`` (the
+    entry's base name), its ``family`` name, and the metadata block its
+    ``replay`` reads back.
     """
     os.makedirs(directory, exist_ok=True)
-    base = case.case_id
-    blif_path = os.path.join(directory, f"{base}.blif")
-    json_path = os.path.join(directory, f"{base}.json")
-    metadata = {
+    record = {
         "format": FORMAT_VERSION,
         "case_id": case.case_id,
         "profile": case.profile,
@@ -82,67 +85,18 @@ def save_repro(
         ],
     }
     if original is not None:
-        metadata["original"] = {
+        record["original"] = {
             "case_id": original.case_id,
             "gates": original.num_gates,
             "inputs": original.num_inputs,
             "seed": original.seed,
         }
-    with open(blif_path, "w") as handle:
+    record.update(metadata or {})
+    base = record["case_id"]
+    with open(os.path.join(directory, f"{base}.blif"), "w") as handle:
         write_blif(case.network, handle)
-    with open(json_path, "w") as handle:
-        json.dump(metadata, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return base
-
-
-def save_eco_repro(
-    directory: str,
-    trace,
-    failures: list[CheckFailure],
-    original=None,
-) -> str:
-    """Write an :class:`~repro.fuzz.eco.EcoTrace` as a corpus entry.
-
-    The ``.blif`` holds the *base* netlist; the metadata's ``"eco"``
-    block holds the edit trace (shrunk), its rng seed, and — when the
-    shrinker removed edits — the original trace length for context.
-    Returns the entry's base name (the trace id).
-    """
-    os.makedirs(directory, exist_ok=True)
-    base = trace.trace_id
-    blif_path = os.path.join(directory, f"{base}.blif")
-    json_path = os.path.join(directory, f"{base}.json")
-    metadata = {
-        "format": FORMAT_VERSION,
-        "case_id": trace.trace_id,
-        "profile": trace.profile,
-        "family": "eco",
-        "seed": trace.case.seed,
-        "delays": trace.case.delays.to_spec(),
-        "output_required": trace.case.output_required,
-        "inputs": trace.case.num_inputs,
-        "outputs": trace.case.network.num_outputs,
-        "gates": trace.case.num_gates,
-        "failures": [
-            {"check": f.check, "detail": f.detail} for f in failures
-        ],
-        "eco": {
-            "seed": trace.seed,
-            "edits": trace.edits_json(),
-        },
-    }
-    if original is not None:
-        metadata["original"] = {
-            "case_id": original.trace_id,
-            "edits": original.num_edits,
-            "gates": original.case.num_gates,
-            "seed": original.seed,
-        }
-    with open(blif_path, "w") as handle:
-        write_blif(trace.case.network, handle)
-    with open(json_path, "w") as handle:
-        json.dump(metadata, handle, indent=2, sort_keys=True)
+    with open(os.path.join(directory, f"{base}.json"), "w") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return base
 
@@ -189,26 +143,23 @@ def load_corpus(directory: str) -> list[CorpusEntry]:
 
 
 def replay_entry(
-    entry: CorpusEntry, suite: EngineSuite | None = None, **run_kwargs
+    entry: CorpusEntry, suite: EngineSuite | None = None
 ) -> CaseResult:
-    """Re-run the differential checks on a corpus entry.
+    """Re-run the differential checks of the entry's fuzz family.
 
     With the stock :class:`EngineSuite` this is the regression direction:
     the entry documents a *fixed* failure, so the replay must come back
     clean.  Passing the suite that originally misbehaved (in mutation
     tests) must reproduce the recorded failure instead.
 
-    Entries carrying an ``"eco"`` metadata block replay through the
-    edit-trace differential (incremental session vs full recompute);
-    the static-runner ``run_kwargs`` do not apply there.
+    ``circuit`` entries record the generator's structural family
+    (``parity``, ``mux_chain``, ...) as their ``family``, so any name
+    outside the family table replays as a circuit case.
     """
-    if entry.metadata.get("eco"):
-        from repro.fuzz.eco import run_eco_differential, trace_from_entry
+    from repro.fuzz.runner import FAMILIES
 
-        return run_eco_differential(
-            trace_from_entry(entry.case, entry.metadata), suite
-        )
-    return run_differential(entry.case, suite, **run_kwargs)
+    family = FAMILIES.get(entry.metadata.get("family"), FAMILIES["circuit"])
+    return family.replay(entry, suite)
 
 
 __all__ = [
@@ -217,6 +168,5 @@ __all__ = [
     "load_corpus",
     "load_entry",
     "replay_entry",
-    "save_eco_repro",
     "save_repro",
 ]

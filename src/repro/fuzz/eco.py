@@ -25,7 +25,7 @@ import hashlib
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.eco.edits import (
     AddNode,
@@ -39,6 +39,7 @@ from repro.eco.edits import (
 )
 from repro.errors import EcoError
 from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite
+from repro.fuzz.corpus import save_repro
 from repro.fuzz.gen import FuzzCase, FuzzProfile, PROFILES, generate_case
 from repro.network.network import Network
 from repro.network.transform import transitive_fanout
@@ -72,6 +73,19 @@ class EcoTrace:
     #: the exact rng seed string that regenerates the edit draws
     seed: str
     profile: str
+    family: ClassVar[str] = "eco"
+
+    @property
+    def case_id(self) -> str:
+        return self.trace_id
+
+    @property
+    def num_inputs(self) -> int:
+        return self.case.num_inputs
+
+    @property
+    def num_gates(self) -> int:
+        return self.case.num_gates
 
     @property
     def num_edits(self) -> int:
@@ -447,27 +461,6 @@ def _check_atomicity(session, result: CaseResult) -> None:
 EcoPredicate = Callable[[EcoTrace], bool]
 
 
-def eco_failure_predicate(
-    suite: EngineSuite | None = None,
-    checks: set[str] | None = None,
-) -> EcoPredicate:
-    """The eco analogue of :func:`repro.fuzz.shrink.failure_predicate`.
-
-    ``checks`` restricts interest to specific check names; a shrink
-    candidate whose only failure is ``eco-trace-invalid`` (its edits no
-    longer apply) is uninteresting unless that is the finding itself.
-    """
-    suite = suite or EngineSuite()
-
-    def predicate(trace: EcoTrace) -> bool:
-        result = run_eco_differential(trace, suite)
-        if checks is None:
-            return not result.ok
-        return any(f.check in checks for f in result.failures)
-
-    return predicate
-
-
 def edits_replay_cleanly(case: FuzzCase, edits: Sequence[Edit]) -> bool:
     """Whether ``edits`` validate and apply in order against ``case``.
 
@@ -575,7 +568,7 @@ def shrink_eco_trace(
 
 def trace_from_entry(case: FuzzCase, metadata: dict) -> EcoTrace:
     """Rebuild an :class:`EcoTrace` from a corpus entry's pieces (the
-    ``eco`` metadata block written by ``save_eco_repro``)."""
+    ``eco`` metadata block written by :meth:`EcoFamily.save`)."""
     eco = metadata.get("eco") or {}
     return EcoTrace(
         trace_id=metadata.get("case_id", case.case_id),
@@ -584,6 +577,49 @@ def trace_from_entry(case: FuzzCase, metadata: dict) -> EcoTrace:
         seed=str(eco.get("seed", metadata.get("seed", ""))),
         profile=metadata.get("profile", "unknown"),
     )
+
+
+class EcoFamily:
+    """The ``eco`` entry of the fuzz family table
+    (:data:`repro.fuzz.runner.FAMILIES`).
+
+    Shrinking minimizes the edit list and the base circuit, so a
+    verdict's ``shrunk_gates`` records the shrunk *edit count*.  A saved
+    entry holds the base netlist plus an ``"eco"`` metadata block (the
+    shrunk trace and its rng seed) that :meth:`replay` reads back.
+    """
+
+    name = "eco"
+    generate = staticmethod(generate_eco_trace)
+    differential = staticmethod(run_eco_differential)
+
+    def shrink(self, trace: EcoTrace, predicate: EcoPredicate) -> EcoTrace:
+        return shrink_eco_trace(trace, predicate, max_evals=100)
+
+    def size(self, trace: EcoTrace) -> int:
+        return trace.num_edits
+
+    def save(self, directory, trace, failures, original) -> str:
+        return save_repro(
+            directory,
+            trace.case,
+            failures,
+            metadata={
+                "case_id": trace.trace_id,
+                "family": self.name,
+                "eco": {"seed": trace.seed, "edits": trace.edits_json()},
+                "original": {
+                    "case_id": original.trace_id,
+                    "edits": original.num_edits,
+                    "gates": original.num_gates,
+                    "seed": original.seed,
+                },
+            },
+        )
+
+    def replay(self, entry, suite) -> CaseResult:
+        trace = trace_from_entry(entry.case, entry.metadata)
+        return run_eco_differential(trace, suite)
 
 
 #: Every check name the eco differential can emit.
@@ -597,8 +633,8 @@ ECO_CHECKS = (
 
 __all__ = [
     "ECO_CHECKS",
+    "EcoFamily",
     "EcoTrace",
-    "eco_failure_predicate",
     "edits_replay_cleanly",
     "generate_eco_trace",
     "run_eco_differential",

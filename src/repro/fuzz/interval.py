@@ -25,6 +25,10 @@ Determinism contract (same as :mod:`repro.fuzz.gen`): the widths are a
 pure function of ``(seed, profile, index)`` — drawn from one
 ``random.Random`` seeded with ``"{seed}:{index}:interval"`` — so a
 verdict regenerates from its recorded seed alone.
+
+Findings shrink the base circuit with the circuit shrinker and keep the
+width chain fixed; a saved entry carries an ``"interval"`` metadata
+block (the width seed and chain) so its replay re-runs these oracles.
 """
 
 from __future__ import annotations
@@ -33,10 +37,13 @@ import hashlib
 import json
 import random
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite
+from repro.fuzz.corpus import save_repro
 from repro.fuzz.gen import FuzzCase, FuzzProfile, generate_case
+from repro.fuzz.shrink import shrink_case
 from repro.obs.metrics import REGISTRY
 from repro.timing.delay import IntervalDelayModel, unit_delay
 
@@ -64,6 +71,7 @@ class IntervalCase:
     #: the exact rng seed string that regenerates the width draws
     seed: str
     profile: str
+    family: ClassVar[str] = "interval"
 
     @property
     def num_inputs(self) -> int:
@@ -208,6 +216,51 @@ def run_interval_differential(
     return result
 
 
+class IntervalFamily:
+    """The ``interval`` entry of the fuzz family table
+    (:data:`repro.fuzz.runner.FAMILIES`)."""
+
+    name = "interval"
+    generate = staticmethod(generate_interval_case)
+    differential = staticmethod(run_interval_differential)
+
+    def shrink(self, icase: IntervalCase, predicate) -> IntervalCase:
+        """Shrink the base circuit; the width chain stays as generated."""
+        shrunk = shrink_case(
+            icase.case,
+            lambda case: predicate(replace(icase, case=case)),
+            max_evals=300,
+        )
+        return replace(icase, case=shrunk)
+
+    def size(self, icase: IntervalCase) -> int:
+        return icase.num_gates
+
+    def save(self, directory, icase, failures, original) -> str:
+        return save_repro(
+            directory,
+            icase.case,
+            failures,
+            original=original,
+            metadata={
+                "case_id": icase.case_id,
+                "family": self.name,
+                "interval": {"seed": icase.seed, "widths": list(icase.widths)},
+            },
+        )
+
+    def replay(self, entry, suite) -> CaseResult:
+        block = entry.metadata["interval"]
+        icase = IntervalCase(
+            case_id=entry.case.case_id,
+            case=entry.case,
+            widths=tuple(block["widths"]),
+            seed=block["seed"],
+            profile=entry.case.profile,
+        )
+        return run_interval_differential(icase, suite)
+
+
 #: Every check name the interval differential can emit.
 INTERVAL_CHECKS = (
     "interval-point-parity[topological]",
@@ -222,6 +275,7 @@ INTERVAL_CHECKS = (
 __all__ = [
     "INTERVAL_CHECKS",
     "IntervalCase",
+    "IntervalFamily",
     "generate_interval_case",
     "run_interval_differential",
 ]

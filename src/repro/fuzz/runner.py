@@ -1,10 +1,11 @@
 """The budgeted fuzzing loop: generate → check → shrink → save.
 
-:class:`FuzzRunner` drives the whole pipeline.  The case sequence is a
-pure function of ``(seed, profile)`` — budgets only decide how far along
-the sequence a run gets — so two runs with the same seed and case budget
-produce identical circuits and identical verdicts, and a failure found
-by the nightly job is regenerated locally from its recorded seed alone.
+:class:`FuzzRunner` drives the whole pipeline for every fuzz family in
+:data:`FAMILIES`.  The case sequence is a pure function of
+``(seed, profile)`` — budgets only decide how far along the sequence a
+run gets — so two runs with the same seed and case budget produce
+identical cases and identical verdicts, and a failure found by the
+nightly job is regenerated locally from its recorded seed alone.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.fuzz.checks import CaseResult, CheckFailure, EngineSuite, run_differential
-from repro.fuzz.corpus import save_eco_repro, save_repro
-from repro.fuzz.gen import FuzzProfile, generate_case
+from repro.fuzz.corpus import save_repro
+from repro.fuzz.eco import EcoFamily
+from repro.fuzz.gen import FuzzCase, FuzzProfile, generate_case
+from repro.fuzz.interval import IntervalFamily
 from repro.fuzz.shrink import failure_predicate, shrink_case
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
@@ -114,6 +118,50 @@ class FuzzReport:
         }
 
 
+class CircuitFamily:
+    """The ``circuit`` family: one static analysis problem per case, run
+    through every engine and oracle by :func:`run_differential`.
+
+    A fuzz family is any object with this shape; :data:`FAMILIES` lists
+    them by ``name``.  ``generate(seed, profile, index)`` is pure in its
+    arguments and returns a case with ``case_id``, ``family``,
+    ``num_inputs`` and ``num_gates``; ``differential(case, suite)``
+    returns a :class:`CaseResult`; ``shrink(case, predicate)`` returns a
+    smaller case that still satisfies the predicate, and ``size`` is the
+    quantity it minimizes; ``save(directory, case, failures, original)``
+    writes a corpus entry that ``replay(entry, suite)`` re-checks.
+    """
+
+    name = "circuit"
+    differential = staticmethod(run_differential)
+
+    def generate(self, seed, profile, index) -> FuzzCase:
+        # a module-global lookup on every call, so wrapping
+        # ``repro.fuzz.runner.generate_case`` times circuit generation
+        return generate_case(seed, profile, index)
+
+    def shrink(self, case: FuzzCase, predicate) -> FuzzCase:
+        return shrink_case(case, predicate, max_evals=300)
+
+    def size(self, case: FuzzCase) -> int:
+        return case.num_gates
+
+    def save(self, directory, case, failures, original) -> str:
+        return save_repro(directory, case, failures, original=original)
+
+    def replay(self, entry, suite) -> CaseResult:
+        return run_differential(entry.case, suite)
+
+
+#: The fuzz family table: what ``FuzzRunner(family=...)``, the ``fuzz``
+#: CLI's ``--family``, the pool's ``fuzz_case`` task, and corpus replay
+#: accept.
+FAMILIES = {
+    family.name: family
+    for family in (CircuitFamily(), EcoFamily(), IntervalFamily())
+}
+
+
 class FuzzRunner:
     """Generate/check/shrink/save over one deterministic case sequence."""
 
@@ -127,9 +175,6 @@ class FuzzRunner:
         corpus_dir: str | None = None,
         shrink: bool = True,
         stop_on_failure: bool = False,
-        oracle_max_inputs: int = 6,
-        exact_max_inputs: int = 7,
-        max_shrink_evals: int = 300,
         jobs: int = 1,
         family: str = "circuit",
         log=None,
@@ -142,22 +187,13 @@ class FuzzRunner:
         self.corpus_dir = corpus_dir
         self.shrink = shrink
         self.stop_on_failure = stop_on_failure
-        self.oracle_max_inputs = oracle_max_inputs
-        self.exact_max_inputs = exact_max_inputs
-        self.max_shrink_evals = max_shrink_evals
         #: case-loop parallelism: 1 = serial (reference semantics), N>1 =
-        #: a warm worker pool runs ``run_differential`` per case, 0 = one
-        #: worker per core.  Cases are deterministic functions of
+        #: a warm worker pool runs the family's differential per case,
+        #: 0 = one worker per core.  Cases are deterministic functions of
         #: (seed, profile, index), so workers regenerate them from the
         #: index alone and the verdict sequence is identical to serial.
         self.jobs = jobs
-        #: what each case is: ``circuit`` (one static analysis problem,
-        #: the classic differential run), ``eco`` (a base circuit plus
-        #: a seeded edit trace checked for incremental-vs-full-recompute
-        #: parity after every edit — see :mod:`repro.fuzz.eco`), or
-        #: ``interval`` (a base circuit checked for point-interval/scalar
-        #: row parity per engine plus widening monotonicity — see
-        #: :mod:`repro.fuzz.interval`)
+        #: a key of :data:`FAMILIES`: what each case is
         self.family = family
         #: optional per-verdict callback (the CLI's live output)
         self.log = log
@@ -175,187 +211,74 @@ class FuzzRunner:
         return self.jobs != 1 and type(self.suite) is EngineSuite
 
     def run(self) -> FuzzReport:
-        if self.family not in ("circuit", "eco", "interval"):
-            from repro.errors import ReproError
-
+        family = FAMILIES.get(self.family)
+        if family is None:
             raise ReproError(
                 f"unknown fuzz family {self.family!r}; "
-                f"choose from ['circuit', 'eco', 'interval']"
+                f"choose from {list(FAMILIES)}"
             )
         start = _time.monotonic()
         before = REGISTRY.snapshot()
-        cases_metric = REGISTRY.counter("fuzz.cases")
-        failures_metric = REGISTRY.counter("fuzz.failures")
         report = FuzzReport(seed=str(self.seed), profile=self._profile_name())
-        if self.family == "eco":
-            # eco traces replay serially: each case already fans out into
-            # one session per method plus a full-recompute oracle per edit
-            self._run_eco(report, start, cases_metric, failures_metric)
-            report.elapsed = _time.monotonic() - start
-            report.metrics = REGISTRY.snapshot().diff(before)
-            return report
-        if self.family == "interval":
-            # interval cases run serially: each already runs every engine
-            # twice (scalar vs point-interval) for the parity oracle
-            self._run_interval(report, start, cases_metric, failures_metric)
-            report.elapsed = _time.monotonic() - start
-            report.metrics = REGISTRY.snapshot().diff(before)
-            return report
         if self._parallel_capable():
-            self._run_parallel(report, start, cases_metric, failures_metric)
-            report.elapsed = _time.monotonic() - start
-            report.metrics = REGISTRY.snapshot().diff(before)
-            return report
-        for index in range(self.budget):
-            if (
-                self.time_budget is not None
-                and _time.monotonic() - start > self.time_budget
-            ):
-                report.stopped = "time"
-                break
-            case = generate_case(self.seed, self.profile, index)
-            with span("fuzz.case", case=case.case_id, index=index):
-                result = run_differential(
-                    case,
-                    self.suite,
-                    oracle_max_inputs=self.oracle_max_inputs,
-                    exact_max_inputs=self.exact_max_inputs,
-                )
-                verdict = self._verdict(index, result)
-            cases_metric.inc()
-            if not verdict.ok:
-                failures_metric.inc()
-            report.verdicts.append(verdict)
-            if self.log is not None:
-                self.log(verdict)
-            if not verdict.ok and self.stop_on_failure:
-                report.stopped = "stop-on-failure"
-                break
+            self._run_parallel(family, report, start)
+        else:
+            self._run_serial(family, report, start)
         report.elapsed = _time.monotonic() - start
         report.metrics = REGISTRY.snapshot().diff(before)
         return report
 
-    def _run_eco(self, report, start, cases_metric, failures_metric) -> None:
-        """The serial eco-family loop: generate trace → replay → shrink.
-
-        Structurally the serial circuit loop with the eco generator and
-        differential swapped in; verdicts reuse :class:`CaseVerdict`
-        with ``shrunk_gates`` recording the *shrunk edit count* (the
-        quantity the eco shrinker minimizes).
-        """
-        from repro.fuzz.eco import (
-            eco_failure_predicate,
-            generate_eco_trace,
-            run_eco_differential,
-            shrink_eco_trace,
+    def _out_of_time(self, start: float) -> bool:
+        return (
+            self.time_budget is not None
+            and _time.monotonic() - start > self.time_budget
         )
 
+    def _record(self, report: FuzzReport, verdict: CaseVerdict) -> bool:
+        """Append one verdict; True when the run stops after it."""
+        REGISTRY.counter("fuzz.cases").inc()
+        if not verdict.ok:
+            REGISTRY.counter("fuzz.failures").inc()
+        report.verdicts.append(verdict)
+        if self.log is not None:
+            self.log(verdict)
+        if not verdict.ok and self.stop_on_failure:
+            report.stopped = "stop-on-failure"
+            return True
+        return False
+
+    def _run_serial(self, family, report: FuzzReport, start: float) -> None:
+        """The serial case loop (``jobs == 1``, or a subclassed suite)."""
         for index in range(self.budget):
-            if (
-                self.time_budget is not None
-                and _time.monotonic() - start > self.time_budget
-            ):
+            if self._out_of_time(start):
                 report.stopped = "time"
-                break
-            trace = generate_eco_trace(self.seed, self.profile, index)
-            with span("fuzz.eco_case", trace=trace.trace_id, index=index):
-                result = run_eco_differential(trace, self.suite)
-            verdict = CaseVerdict(
-                index=index,
-                case_id=trace.trace_id,
-                family="eco",
-                num_inputs=trace.case.num_inputs,
-                num_gates=trace.case.num_gates,
-                ok=result.ok,
-                failed_checks=result.failed_checks,
-                elapsed=result.elapsed,
-                metrics=result.metrics,
-            )
-            if not verdict.ok:
-                shrunk = trace
-                if self.shrink:
-                    predicate = eco_failure_predicate(
-                        self.suite, checks=set(verdict.failed_checks)
-                    )
-                    shrunk = shrink_eco_trace(
-                        trace, predicate,
-                        max_evals=min(self.max_shrink_evals, 100),
-                    )
-                    verdict.shrunk_gates = shrunk.num_edits
-                if self.corpus_dir is not None:
-                    final = run_eco_differential(shrunk, self.suite)
-                    use = final.failures if final.failures else result.failures
-                    verdict.repro = save_eco_repro(
-                        self.corpus_dir, shrunk, use, original=trace
-                    )
-            cases_metric.inc()
-            if not verdict.ok:
-                failures_metric.inc()
-            report.verdicts.append(verdict)
-            if self.log is not None:
-                self.log(verdict)
-            if not verdict.ok and self.stop_on_failure:
-                report.stopped = "stop-on-failure"
-                break
-
-    def _run_interval(
-        self, report, start, cases_metric, failures_metric
-    ) -> None:
-        """The serial interval-family loop: generate → differential → save.
-
-        Interval findings are not shrunk (the base circuit is the whole
-        repro — the widths regenerate from the recorded seed); failures
-        persist to the corpus like circuit findings when ``corpus_dir``
-        is set.
-        """
-        from repro.fuzz.interval import (
-            generate_interval_case,
-            run_interval_differential,
-        )
-
-        for index in range(self.budget):
-            if (
-                self.time_budget is not None
-                and _time.monotonic() - start > self.time_budget
-            ):
-                report.stopped = "time"
-                break
-            icase = generate_interval_case(self.seed, self.profile, index)
-            with span("fuzz.interval_case", case=icase.case_id, index=index):
-                result = run_interval_differential(icase, self.suite)
-            verdict = CaseVerdict(
-                index=index,
-                case_id=icase.case_id,
-                family="interval",
-                num_inputs=icase.num_inputs,
-                num_gates=icase.num_gates,
-                ok=result.ok,
-                failed_checks=result.failed_checks,
-                elapsed=result.elapsed,
-                metrics=result.metrics,
-            )
-            if not verdict.ok and self.corpus_dir is not None:
-                verdict.repro = save_repro(
-                    self.corpus_dir, icase.case, result.failures,
-                    original=icase.case,
+                return
+            case = family.generate(self.seed, self.profile, index)
+            with span("fuzz.case", case=case.case_id, index=index):
+                result = family.differential(case, self.suite)
+                verdict = CaseVerdict(
+                    index=index,
+                    case_id=case.case_id,
+                    family=case.family,
+                    num_inputs=case.num_inputs,
+                    num_gates=case.num_gates,
+                    ok=result.ok,
+                    failed_checks=result.failed_checks,
+                    elapsed=result.elapsed,
+                    metrics=result.metrics,
                 )
-            cases_metric.inc()
-            if not verdict.ok:
-                failures_metric.inc()
-            report.verdicts.append(verdict)
-            if self.log is not None:
-                self.log(verdict)
-            if not verdict.ok and self.stop_on_failure:
-                report.stopped = "stop-on-failure"
-                break
+                if not verdict.ok:
+                    self._shrink_and_save(family, case, result.failures, verdict)
+            if self._record(report, verdict):
+                return
 
-    def _run_parallel(self, report, start, cases_metric, failures_metric) -> None:
+    def _run_parallel(self, family, report: FuzzReport, start: float) -> None:
         """The pooled case loop (``jobs != 1``).
 
         Cases are dispatched in chunks so the wall-clock budget and
         ``stop_on_failure`` keep deterministic cut points: a chunk either
-        runs entirely or not at all, and on a failure the verdict list is
-        truncated at the first failing index — the same prefix a serial
+        runs entirely or not at all, and verdicts are recorded in index
+        order up to the first failure — the same prefix a serial
         stop-on-failure run reports.  Shrinking and corpus writes happen
         in the parent, serially, on regenerated cases.
         """
@@ -364,61 +287,39 @@ class FuzzRunner:
 
         jobs = self.jobs if self.jobs > 0 else default_jobs()
         profile_name = self._profile_name()
-        suite_args = {
-            "exact_max_nodes": self.suite.exact_max_nodes,
-            "approx1_max_nodes": self.suite.approx1_max_nodes,
-            "approx2_max_checks": self.suite.approx2_max_checks,
+        payload = {
+            "family": family.name,
+            "seed": self.seed,
+            "profile": profile_name,
+            "suite": {
+                "exact_max_nodes": self.suite.exact_max_nodes,
+                "approx1_max_nodes": self.suite.approx1_max_nodes,
+                "approx2_max_checks": self.suite.approx2_max_checks,
+            },
         }
-
-        def task_for(index: int) -> Task:
-            return Task(
-                task_id=f"case-{index}",
-                kind="fuzz_case",
-                payload={
-                    "seed": self.seed,
-                    "profile": profile_name,
-                    "index": index,
-                    "suite": suite_args,
-                    "oracle_max_inputs": self.oracle_max_inputs,
-                    "exact_max_inputs": self.exact_max_inputs,
-                },
-                circuit_key=f"fuzz:{self.seed}:{profile_name}",
-                cost=1.0,
-            )
-
         chunk_size = max(jobs * 2, 4)
         with WorkerPool(jobs) as pool:
             for lo in range(0, self.budget, chunk_size):
-                if (
-                    self.time_budget is not None
-                    and _time.monotonic() - start > self.time_budget
-                ):
+                if self._out_of_time(start):
                     report.stopped = "time"
-                    break
-                chunk = [task_for(i) for i in range(lo, min(lo + chunk_size, self.budget))]
+                    return
+                chunk = [
+                    Task(
+                        task_id=f"case-{index}",
+                        kind="fuzz_case",
+                        payload={**payload, "index": index},
+                        circuit_key=f"fuzz:{self.seed}:{profile_name}",
+                        cost=1.0,
+                    )
+                    for index in range(lo, min(lo + chunk_size, self.budget))
+                ]
                 with span("fuzz.chunk", first=lo, size=len(chunk)):
                     batch = pool.run(chunk)
-                failed_here = False
                 for outcome in batch.outcomes:
-                    verdict = self._verdict_from_outcome(outcome)
-                    cases_metric.inc()
-                    if not verdict.ok:
-                        failures_metric.inc()
-                        failed_here = True
-                    report.verdicts.append(verdict)
-                    if self.log is not None:
-                        self.log(verdict)
-                    if not verdict.ok and self.stop_on_failure:
-                        break
-                if failed_here and self.stop_on_failure:
-                    report.stopped = "stop-on-failure"
-                    first_bad = next(
-                        i for i, v in enumerate(report.verdicts) if not v.ok
-                    )
-                    del report.verdicts[first_bad + 1 :]
-                    break
+                    if self._record(report, self._pooled_verdict(family, outcome)):
+                        return
 
-    def _verdict_from_outcome(self, outcome) -> CaseVerdict:
+    def _pooled_verdict(self, family, outcome) -> CaseVerdict:
         """A pooled case's verdict; failures re-run the serial tail."""
         value = outcome.value
         if not outcome.ok or value is None:
@@ -446,59 +347,33 @@ class FuzzRunner:
             elapsed=value.elapsed,
             metrics=dict(value.metrics),
         )
-        if verdict.ok:
-            return verdict
-        # regenerate the deterministic case in the parent for the serial
-        # shrink/save tail (identical to what the serial loop would do)
-        case = generate_case(self.seed, self.profile, value.index)
-        failures = [CheckFailure(check, detail) for check, detail in value.failures]
-        return self._shrink_and_save(case, failures, verdict)
-
-    def _verdict(self, index: int, result: CaseResult) -> CaseVerdict:
-        case = result.case
-        verdict = CaseVerdict(
-            index=index,
-            case_id=case.case_id,
-            family=case.family,
-            num_inputs=case.num_inputs,
-            num_gates=case.num_gates,
-            ok=result.ok,
-            failed_checks=result.failed_checks,
-            elapsed=result.elapsed,
-            metrics=result.metrics,
-        )
-        if result.ok:
-            return verdict
-        return self._shrink_and_save(case, result.failures, verdict)
+        if not verdict.ok:
+            # regenerate the deterministic case in the parent for the
+            # serial shrink/save tail (identical to what the serial loop
+            # would do)
+            case = family.generate(self.seed, self.profile, value.index)
+            failures = [CheckFailure(check, detail) for check, detail in value.failures]
+            self._shrink_and_save(family, case, failures, verdict)
+        return verdict
 
     def _shrink_and_save(
-        self, case, failures: list[CheckFailure], verdict: CaseVerdict
-    ) -> CaseVerdict:
+        self, family, case, failures: list[CheckFailure], verdict: CaseVerdict
+    ) -> None:
         """The serial failure tail: delta-debug and persist one repro."""
         shrunk = case
         if self.shrink:
             predicate = failure_predicate(
-                self.suite,
-                checks=set(verdict.failed_checks),
-                oracle_max_inputs=self.oracle_max_inputs,
-                exact_max_inputs=self.exact_max_inputs,
+                self.suite, set(verdict.failed_checks), family.differential
             )
-            shrunk = shrink_case(case, predicate, max_evals=self.max_shrink_evals)
-            verdict.shrunk_gates = shrunk.num_gates
+            shrunk = family.shrink(case, predicate)
+            verdict.shrunk_gates = family.size(shrunk)
         if self.corpus_dir is not None:
             # re-run on the shrunk case so the recorded failures describe
             # the committed netlist, not its ancestor
-            final = run_differential(
-                shrunk,
-                self.suite,
-                oracle_max_inputs=self.oracle_max_inputs,
-                exact_max_inputs=self.exact_max_inputs,
+            final = family.differential(shrunk, self.suite)
+            verdict.repro = family.save(
+                self.corpus_dir, shrunk, final.failures or failures, case
             )
-            use = final.failures if final.failures else failures
-            verdict.repro = save_repro(
-                self.corpus_dir, shrunk, use, original=case
-            )
-        return verdict
 
 
-__all__ = ["CaseVerdict", "FuzzReport", "FuzzRunner"]
+__all__ = ["FAMILIES", "CaseVerdict", "CircuitFamily", "FuzzReport", "FuzzRunner"]

@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 from repro.network.network import Network
 from repro.network.opt import sweep
 from repro.sop import Cover
-from repro.fuzz.checks import EngineSuite, run_differential
+from repro.fuzz.checks import CaseResult, EngineSuite, run_differential
 from repro.fuzz.gen import FuzzCase
 
 Predicate = Callable[[FuzzCase], bool]
@@ -38,18 +38,21 @@ Predicate = Callable[[FuzzCase], bool]
 def failure_predicate(
     suite: EngineSuite | None = None,
     checks: set[str] | None = None,
-    **run_kwargs,
+    differential: Callable[..., CaseResult] = run_differential,
 ) -> Predicate:
     """The standard predicate: the case still fails the differential run.
 
     ``checks`` restricts interest to specific check names (so shrinking
     one repro cannot wander off to a different failure class); by default
-    any failure keeps the candidate.
+    any failure keeps the candidate.  ``differential`` is the family's
+    check runner (``run_differential`` for circuit cases; an eco or
+    interval family passes its own, and the predicate then takes that
+    family's cases).
     """
     suite = suite or EngineSuite()
 
-    def predicate(case: FuzzCase) -> bool:
-        result = run_differential(case, suite, **run_kwargs)
+    def predicate(case) -> bool:
+        result = differential(case, suite)
         if checks is None:
             return not result.ok
         return any(f.check in checks for f in result.failures)

@@ -148,18 +148,12 @@ def _plain(value):
 
 
 def _handle_fuzz_case(payload: dict, state: WorkerState) -> FuzzCaseOutcome:
-    from repro.fuzz.checks import EngineSuite, run_differential
-    from repro.fuzz.gen import generate_case
+    from repro.fuzz import FAMILIES, EngineSuite
 
+    family = FAMILIES[payload["family"]]
     index = payload["index"]
-    case = generate_case(payload["seed"], payload["profile"], index)
-    suite = EngineSuite(**payload.get("suite", {}))
-    result = run_differential(
-        case,
-        suite,
-        oracle_max_inputs=payload.get("oracle_max_inputs", 6),
-        exact_max_inputs=payload.get("exact_max_inputs", 7),
-    )
+    case = family.generate(payload["seed"], payload["profile"], index)
+    result = family.differential(case, EngineSuite(**payload["suite"]))
     return FuzzCaseOutcome(
         index=index,
         case_id=case.case_id,

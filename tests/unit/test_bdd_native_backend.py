@@ -108,6 +108,8 @@ class TestBuild:
         path, reason = native_build.build_kernel(force=True)
         assert path is None
         assert reason is not None
+        # the compiler never started: its temp output must not linger
+        assert not list(isolated_loader.glob("libreprobdd-*"))
 
     @needs_kernel
     def test_build_script_reports_ok(self, isolated_loader, capsys):

@@ -145,6 +145,30 @@ class TestFuzzErrors:
         assert main(["fuzz", "--replay", str(tmp_path)]) == 0
         assert "no corpus entries" in capsys.readouterr().out
 
+    def test_unknown_family(self, capsys):
+        rc = main(["fuzz", "--family", "orbit", "--budget", "1"])
+        assert rc == 2
+        err = _err(capsys)
+        assert "unknown fuzz family 'orbit'" in err
+        assert "interval" in err  # lists the family table
+
+
+class TestJobsErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--budget", "1"],
+            ["required", "missing.blif"],
+            ["eco", "missing.blif", "missing.json"],
+            ["serve"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_jobs_rejected(self, argv, capsys):
+        # one check before dispatch: no netlist is read, no pool starts
+        assert main(argv + ["--jobs", "-1"]) == 2
+        assert "--jobs must be >= 0 (got -1)" in _err(capsys)
+
 
 class TestTraceErrors:
     def test_missing_trace_file(self, capsys):

@@ -17,12 +17,12 @@ import pytest
 
 from repro.fuzz import (
     ECO_CHECKS,
+    FAMILIES,
     FuzzRunner,
-    eco_failure_predicate,
+    failure_predicate,
     generate_eco_trace,
     replay_entry,
     run_eco_differential,
-    save_eco_repro,
     shrink_eco_trace,
 )
 from repro.fuzz.checks import CheckFailure
@@ -129,7 +129,9 @@ class TestShrinking:
 
     def test_restricted_predicate_ignores_other_checks(self):
         trace = generate_eco_trace("pred", "tiny", index=0, n_edits=2)
-        predicate = eco_failure_predicate(checks={"eco-parity[topological]"})
+        predicate = failure_predicate(
+            checks={"eco-parity[topological]"}, differential=run_eco_differential
+        )
         # a green trace is uninteresting under any restriction
         assert predicate(trace) is False
 
@@ -138,7 +140,7 @@ class TestCorpusRoundTrip:
     def test_saved_trace_replays_identically(self, tmp_path):
         trace = generate_eco_trace("corpus", "tiny", index=0)
         failures = [CheckFailure("eco-parity[topological]", "synthetic")]
-        base = save_eco_repro(str(tmp_path), trace, failures, original=trace)
+        base = FAMILIES["eco"].save(str(tmp_path), trace, failures, trace)
         entry = load_entry(str(tmp_path), base)
         assert entry.metadata["family"] == "eco"
         assert entry.failed_checks == ["eco-parity[topological]"]

@@ -6,7 +6,7 @@ for bit on every canonical result row, including the golden paper values
 import pytest
 
 from repro.circuits import carry_skip_block, figure4
-from repro.fuzz import FuzzRunner
+from repro.fuzz import FAMILIES, FuzzRunner
 from repro.parallel import (
     CircuitRef,
     merge_required_outcomes,
@@ -138,12 +138,34 @@ class TestFuzzParity:
         assert key(serial) == key(pooled)
         assert serial.num_failures == pooled.num_failures
 
+    @pytest.mark.parametrize("family", ["eco", "interval"])
+    def test_family_verdicts_identical_across_jobs(self, family):
+        def run(jobs):
+            return FuzzRunner(
+                seed=f"jobs-{family}", budget=4, profile="tiny",
+                family=family, jobs=jobs,
+            ).run()
+
+        def key(report):
+            return [
+                (v.index, v.case_id, v.family, v.num_inputs, v.num_gates,
+                 v.ok, tuple(v.failed_checks))
+                for v in report.verdicts
+            ]
+
+        serial, pooled = run(1), run(2)
+        assert pooled.metrics.get("parallel.tasks_completed") == 4
+        assert len(key(serial)) == 4
+        assert all(v.family == family for v in serial.verdicts)
+        assert key(pooled) == key(serial)
+
     def test_pool_error_becomes_failed_verdict(self):
         from repro.parallel.results import TaskOutcome
 
         runner = FuzzRunner(seed=1, budget=1, jobs=2)
-        verdict = runner._verdict_from_outcome(
-            TaskOutcome(task_id="case-7", ok=False, error="worker lost")
+        verdict = runner._pooled_verdict(
+            FAMILIES["circuit"],
+            TaskOutcome(task_id="case-7", ok=False, error="worker lost"),
         )
         assert not verdict.ok
         assert verdict.index == 7
@@ -176,8 +198,9 @@ class TestFuzzParity:
             failed_checks=["synthetic"],
             failures=[("synthetic", "injected by test")],
         )
-        verdict = runner._verdict_from_outcome(
-            TaskOutcome(task_id="case-0", ok=True, value=value)
+        verdict = runner._pooled_verdict(
+            FAMILIES["circuit"],
+            TaskOutcome(task_id="case-0", ok=True, value=value),
         )
         assert not verdict.ok
         assert verdict.repro is not None
