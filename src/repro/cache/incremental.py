@@ -10,32 +10,44 @@ by the mutation hashes to the same digest and hits; only the dirty cones
 miss and run.  :func:`diff_cones` exposes the same comparison as an
 explicit old-vs-new report for assertions and tooling.
 
-The per-cone results are min-merged with the exact same
-:func:`repro.parallel.merge.merge_required_outcomes` a sharded
-``required --jobs N`` run uses, so an incremental warm result is
-bit-identical to a cold sharded run of the whole network.
+:func:`analyze_cones` is the one per-cone step.  ``required --jobs N``,
+:func:`incremental_required_times` and
+:class:`~repro.eco.NetworkSession` all run through it, and its results
+min-merge with :func:`repro.parallel.merge.merge_required_outcomes`, so
+an incremental warm result is bit-identical to a cold sharded run of
+the whole network.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.cache.keys import CacheKey, required_key
+from repro.cache.keys import CacheKey, required_key, required_map
+from repro.cache.layer import lookup_result, store_result
 from repro.cache.results import CachedRequiredResult
 from repro.cache.store import ResultCache
 from repro.network.network import Network
 from repro.obs.trace import span
 
+if TYPE_CHECKING:
+    from repro.parallel.results import BatchResult
 
-def _required_map(
-    network: Network, output_required: Mapping[str, float] | float
-) -> dict[str, float]:
-    """The boundary condition as an explicit per-output float map."""
-    if isinstance(output_required, Mapping):
-        return {o: float(output_required[o]) for o in network.outputs}
-    return {o: float(output_required) for o in network.outputs}
+
+def cone_key(
+    network: Network,
+    name: str,
+    method: str,
+    delays=None,
+    required: float = 0.0,
+    options: Mapping[str, object] | None = None,
+) -> tuple[CacheKey, Network]:
+    """Output ``name``'s ``(cache key, cone network)`` pair."""
+    from repro.parallel.tasks import output_cone
+
+    cone = output_cone(network, [name])
+    return required_key(cone, method, delays, {name: required}, options), cone
 
 
 def cone_keys(
@@ -46,17 +58,11 @@ def cone_keys(
     options: Mapping[str, object] | None = None,
 ) -> dict[str, tuple[CacheKey, Network]]:
     """Per-output ``(cache key, cone network)`` pairs, in output order."""
-    from repro.parallel.tasks import output_cone
-
-    req_map = _required_map(network, output_required)
-    out: dict[str, tuple[CacheKey, Network]] = {}
-    for name in network.outputs:
-        cone = output_cone(network, [name])
-        key = required_key(
-            cone, method, delays, {name: req_map[name]}, options
-        )
-        out[name] = (key, cone)
-    return out
+    req_map = required_map(network, output_required)
+    return {
+        name: cone_key(network, name, method, delays, req_map[name], options)
+        for name in network.outputs
+    }
 
 
 def diff_cones(
@@ -126,6 +132,87 @@ class IncrementalResult:
         }
 
 
+@dataclass
+class ConeRun:
+    """What one :func:`analyze_cones` call produced."""
+
+    #: output → result (read from the cache or computed), in cone order;
+    #: failed cones are absent
+    results: dict[str, CachedRequiredResult]
+    #: outputs served from the cache (no task dispatched)
+    cached: list[str]
+    #: outputs dispatched to ``run_batch`` (cache misses), failed included
+    dirty: list[str]
+    #: dispatched outputs whose task failed
+    failed: list[str]
+    #: the batch of dispatched misses (empty on a fully warm run)
+    batch: BatchResult
+
+
+def analyze_cones(
+    network: Network,
+    cones: Mapping[str, tuple[CacheKey, Network]],
+    method: str,
+    cache: ResultCache | None,
+    required: Mapping[str, float],
+    delays=None,
+    options: Mapping[str, object] | None = None,
+    jobs: int = 1,
+) -> ConeRun:
+    """The per-cone step: probe here, dispatch only the misses, store.
+
+    ``cones`` maps outputs to their :func:`cone_key` pairs and
+    ``required`` holds each one's required time.  Every key is probed
+    in the calling process; only misses become :func:`cone_task` tasks
+    on :func:`~repro.parallel.run_batch`, and their results are stored
+    here too, so workers never touch the cache.  Every returned result
+    is stamped ``circuit=network.name`` and ``outputs=[name]``, whether
+    it was computed or read back.
+    """
+    from repro.parallel import CircuitRef, cone_task, run_batch
+
+    results: dict[str, CachedRequiredResult] = {}
+    cached: list[str] = []
+    dirty: list[str] = []
+    for name, (key, _) in cones.items():
+        hit = None if cache is None else lookup_result(cache, key)
+        if hit is None:
+            dirty.append(name)
+        else:
+            results[name] = hit
+            cached.append(name)
+    tasks = [
+        cone_task(
+            CircuitRef.inline(cones[name][1], key=f"{network.name}/{name}"),
+            cones[name][1],
+            method,
+            required[name],
+            delays=delays,
+            options=options,
+        )
+        for name in dirty
+    ]
+    batch = run_batch(tasks, jobs=jobs)
+    failed: list[str] = []
+    for name, outcome in zip(dirty, batch.outcomes):
+        if not outcome.ok:
+            failed.append(name)
+            continue
+        results[name] = outcome.value
+        if cache is not None:
+            store_result(cache, cones[name][0], outcome.value)
+    for name, result in results.items():
+        result.circuit = network.name
+        result.outputs = [name]
+    return ConeRun(
+        results={name: results[name] for name in cones if name in results},
+        cached=cached,
+        dirty=dirty,
+        failed=failed,
+        batch=batch,
+    )
+
+
 def incremental_required_times(
     network: Network,
     method: str,
@@ -144,76 +231,38 @@ def incremental_required_times(
     to a full recompute — the property the cache parity tests and
     ``benchmarks/bench_cache.py`` assert.
     """
-    from repro.parallel import (
-        CircuitRef,
-        merge_required_outcomes,
-        required_time_task,
-        run_batch,
-    )
-    from repro.parallel.tasks import estimate_cost
+    from repro.parallel import merge_required_outcomes
 
-    options = dict(options or {})
     t0 = _time.perf_counter()
     with span(
         "cache.incremental", circuit=network.name, method=method, jobs=jobs
     ):
-        keys = cone_keys(network, method, delays, output_required, options)
-        outcomes: dict[str, object] = {}
-        clean: list[str] = []
-        dirty: list[str] = []
-        tasks = []
-        task_outputs: list[str] = []
-        for name, (key, cone) in keys.items():
-            payload = cache.get(key)
-            if payload is not None:
-                result = CachedRequiredResult.from_payload(payload)
-                result.circuit = network.name
-                outcomes[name] = result.to_outcome()
-                clean.append(name)
-                continue
-            dirty.append(name)
-            req = _required_map(network, output_required)[name]
-            tasks.append(
-                required_time_task(
-                    CircuitRef.inline(cone, key=f"{network.name}/{name}"),
-                    method,
-                    output_required={name: req},
-                    delays=delays,
-                    options=options,
-                    cost=estimate_cost(cone, method, options),
-                    task_id=f"{network.name}/{method}/{name}",
-                )
-            )
-            task_outputs.append(name)
-        failed: list[str] = []
-        if tasks:
-            batch = run_batch(tasks, jobs=jobs)
-            for name, outcome in zip(task_outputs, batch.outcomes):
-                if not outcome.ok:
-                    failed.append(name)
-                    continue
-                value = outcome.value
-                outcomes[name] = value
-                if not value.aborted:
-                    key, _ = keys[name]
-                    cache.put(
-                        key, CachedRequiredResult.from_outcome(value).to_payload()
-                    )
-        merged = merge_required_outcomes(
-            [outcomes[name] for name in network.outputs if name in outcomes]
+        run = analyze_cones(
+            network,
+            cone_keys(network, method, delays, output_required, options),
+            method,
+            cache,
+            required_map(network, output_required),
+            delays=delays,
+            options=options,
+            jobs=jobs,
         )
+        merged = merge_required_outcomes(list(run.results.values()))
     return IncrementalResult(
         merged=merged,
-        dirty=dirty,
-        clean=clean,
-        failed=failed,
+        dirty=run.dirty,
+        clean=run.cached,
+        failed=run.failed,
         wall=_time.perf_counter() - t0,
         jobs=jobs,
     )
 
 
 __all__ = [
+    "ConeRun",
     "IncrementalResult",
+    "analyze_cones",
+    "cone_key",
     "cone_keys",
     "diff_cones",
     "incremental_required_times",

@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.errors import TimingError
 from repro.network.network import Network
 
 #: Bump whenever the canonical payload layout, the digest recipe, or the
@@ -42,7 +43,6 @@ SCHEMA_VERSION = 1
 #: Options that can change the canonical result row and therefore key
 #: the cache entry: engine knobs (budgets, engine, reorder) plus
 #: ``exact_row_counts``, which widens the exact method's digest payload.
-#: Transport/layer options such as ``cache_dir`` are excluded on purpose.
 SEMANTIC_OPTIONS = (
     "backend",
     "delay_model",
@@ -76,13 +76,25 @@ def network_digest(network: Network) -> str:
     return _digest({"schema": SCHEMA_VERSION, "network": canonical_network(network)})
 
 
-def _canonical_required(
+def required_map(
     network: Network, output_required: Mapping[str, float] | float
 ) -> dict[str, float]:
-    """The boundary condition as an explicit per-output float map."""
-    if isinstance(output_required, Mapping):
-        return {o: float(output_required[o]) for o in network.outputs}
-    return {o: float(output_required) for o in network.outputs}
+    """The boundary condition as an explicit per-output float map.
+
+    The single normalization every key, cone task and ECO session uses.
+    A map must name every primary output and nothing else: a missing
+    output or a non-output name raises :class:`TimingError`, so a bad
+    request fails before any cache probe whatever the cache holds.
+    """
+    if not isinstance(output_required, Mapping):
+        return {o: float(output_required) for o in network.outputs}
+    missing = set(network.outputs) - set(output_required)
+    if missing:
+        raise TimingError(f"missing required times for outputs {sorted(missing)}")
+    extra = set(output_required) - set(network.outputs)
+    if extra:
+        raise TimingError(f"required times given for non-outputs {sorted(extra)}")
+    return {o: float(output_required[o]) for o in network.outputs}
 
 
 #: The backend whose digests carry no ``backend`` entry at all.  This is
@@ -181,7 +193,7 @@ def required_key(
         "method": method,
         "network": canonical_network(network),
         "delays": delays.to_spec(),
-        "output_required": _canonical_required(network, output_required),
+        "output_required": required_map(network, output_required),
         "options": _canonical_options(options),
     }
     return CacheKey(digest=_digest(payload), method=method)
@@ -194,4 +206,5 @@ __all__ = [
     "canonical_network",
     "network_digest",
     "required_key",
+    "required_map",
 ]

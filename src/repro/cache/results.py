@@ -1,20 +1,16 @@
-"""The cacheable form of a required-time result, and its converters.
+"""The one required-time result type, and its report converter.
 
 An engine's full detail object (an :class:`~repro.core.exact.ExactRelation`
 over live BDDs, an approx-1 result holding manager references) can never
-be serialized; what the cache stores is the same *canonical result row*
-the parallel layer already ships across process boundaries — method,
-non-triviality, per-method digest (approx-1 primes/profiles, approx-2
-best/bottom vectors, exact leaf counts), the value-independent
-``input_times`` merge currency, and the topological baseline.  Warm and
-cold runs are compared on exactly this canonical row, which is why
-"warm ≠ cold" is always a bug and never a formatting artifact
-(docs/CACHING.md).
-
-:func:`summarize_report` is the single implementation of
-report → canonical row used by the serial cache layer *and* the pool
-worker (:mod:`repro.parallel.worker` delegates here), so serial, cached,
-and parallel runs cannot drift apart.
+be serialized or pickled; :class:`CachedRequiredResult` is its durable,
+picklable reduction — method, non-triviality, per-method digest
+(approx-1 primes/profiles, approx-2 best/bottom vectors, exact leaf
+counts), the value-independent ``input_times`` merge currency, and the
+topological baseline.  It is what the cache stores, what a pool worker
+returns, what the per-cone min-merge consumes and what the daemon
+serves, so every path renders the same :meth:`~CachedRequiredResult.row`
+and "warm ≠ cold" or "pooled ≠ serial" is always a bug, never a
+formatting artifact (docs/CACHING.md).
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
-
-from repro.network.network import Network
 
 INF = math.inf
 
@@ -142,11 +136,15 @@ class CachedRequiredResult:
     """One required-time result in its durable, canonical form."""
 
     method: str
+    #: display field, stamped by the path that returns the result (the
+    #: cache key leaves it out): the analyzed network's name
     circuit: str
     nontrivial: bool
     #: cold-run CPU seconds, kept so a warm render reports the cost of
     #: the run it reuses (wall clock is excluded from parity on purpose)
     elapsed: float
+    #: display field like ``circuit``: ``None`` for a whole network,
+    #: ``[name]`` for one output cone
     outputs: list[str] | None = None
     time_to_first_nontrivial: float | None = None
     aborted: bool = False
@@ -164,17 +162,16 @@ class CachedRequiredResult:
         cls,
         report,
         baseline: Mapping[str, float],
-        outputs: list[str] | None = None,
         row_counts: int | None = None,
     ) -> "CachedRequiredResult":
-        """From a fresh :class:`~repro.core.required_time.RequiredTimeReport`."""
+        """From a fresh :class:`~repro.core.required_time.RequiredTimeReport`
+        (``outputs`` stays ``None``: the caller stamps display fields)."""
         digest, input_times = summarize_report(report, baseline, row_counts)
         return cls(
             method=report.method,
             circuit=report.circuit,
             nontrivial=report.nontrivial,
             elapsed=report.elapsed,
-            outputs=list(outputs) if outputs is not None else None,
             time_to_first_nontrivial=report.time_to_first_nontrivial,
             aborted=report.aborted,
             abort_reason=report.abort_reason,
@@ -182,25 +179,6 @@ class CachedRequiredResult:
             digest=jsonify(digest),
             input_times=None if input_times is None else dict(input_times),
             baseline=dict(baseline),
-        )
-
-    @classmethod
-    def from_outcome(cls, outcome) -> "CachedRequiredResult":
-        """From a :class:`repro.parallel.results.RequiredTimeOutcome`."""
-        return cls(
-            method=outcome.method,
-            circuit=outcome.circuit,
-            nontrivial=outcome.nontrivial,
-            elapsed=outcome.elapsed,
-            outputs=list(outcome.outputs) if outcome.outputs is not None else None,
-            aborted=outcome.aborted,
-            abort_reason=outcome.abort_reason,
-            stats=jsonify(outcome.stats),
-            digest=jsonify(outcome.digest),
-            input_times=(
-                None if outcome.input_times is None else dict(outcome.input_times)
-            ),
-            baseline=dict(outcome.baseline),
         )
 
     # ------------------------------------------------------------------
@@ -245,19 +223,23 @@ class CachedRequiredResult:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
+    @property
+    def status(self) -> str:
+        """``ok``, ``memory out`` (BDD node budget) or ``aborted``."""
+        if not self.aborted:
+            return "ok"
+        reason = self.abort_reason or ""
+        return "memory out" if "node budget" in reason else "aborted"
+
     def row(self) -> dict:
         """The canonical (time-free) row — the parity-gate currency."""
-        status = "ok"
-        if self.aborted:
-            reason = self.abort_reason or ""
-            status = "memory out" if "node budget" in reason else "aborted"
         return jsonify(
             {
                 "circuit": self.circuit,
                 "method": self.method,
                 "outputs": self.outputs,
                 "nontrivial": self.nontrivial,
-                "status": status,
+                "status": self.status,
                 "digest": self.digest,
                 "input_times": self.input_times,
                 "baseline": self.baseline,
@@ -283,26 +265,6 @@ class CachedRequiredResult:
         if "interval" in self.stats:
             row["interval"] = self.stats["interval"]
         return row
-
-    def to_outcome(self):
-        """As a :class:`RequiredTimeOutcome` (the min-merge currency)."""
-        from repro.parallel.results import RequiredTimeOutcome
-
-        return RequiredTimeOutcome(
-            method=self.method,
-            circuit=self.circuit,
-            outputs=tuple(self.outputs) if self.outputs is not None else None,
-            nontrivial=self.nontrivial,
-            elapsed=self.elapsed,
-            aborted=self.aborted,
-            abort_reason=self.abort_reason,
-            stats=dict(self.stats),
-            digest=dict(self.digest),
-            input_times=(
-                None if self.input_times is None else dict(self.input_times)
-            ),
-            baseline=dict(self.baseline),
-        )
 
     def render_detail(self) -> str:
         """The method-specific CLI body (mirrors ``repro required``)."""

@@ -40,7 +40,7 @@ import argparse
 import json
 import sys
 
-from repro.core.required_time import analyze_required_times, format_time
+from repro.core.required_time import format_time
 from repro.core.trueslack import true_slacks
 from repro.errors import ReproError
 from repro.network import parse_bench_file, parse_blif_file
@@ -153,7 +153,15 @@ def cmd_required(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    from repro.cache import default_cache_dir
+    from repro.cache import (
+        ResultCache,
+        analyze_cones,
+        cached_analyze_required_times,
+        cone_keys,
+        default_cache_dir,
+        required_map,
+    )
+    from repro.obs import span
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     options = {}
@@ -169,94 +177,28 @@ def cmd_required(args: argparse.Namespace) -> int:
         options["backend"] = args.backend
     if args.delay_model is not None:
         options["delay_model"] = args.delay_model
-    if args.jobs not in (1,):
-        return _cmd_required_sharded(args, options, cache_dir, delays)
-    if cache_dir is not None:
-        return _cmd_required_cached(args, options, cache_dir, delays)
 
-    trace = None
-    if args.trace is not None:
-        from repro.obs import start_trace
-
-        start_trace()
-    try:
-        from repro.obs import span
-
-        with span("cli.required", netlist=args.netlist, method=args.method):
-            net = load_network(args.netlist)
-            report = analyze_required_times(
-                net, args.method, delays=delays,
-                output_required=args.required, **options
-            )
-    finally:
-        if args.trace is not None:
-            from repro.obs import stop_trace
-
-            trace = stop_trace()
-            trace.save(args.trace)
-            print(
-                f"trace: {trace.num_spans} spans, "
-                f"coverage {trace.coverage():.1%}, written to {args.trace}",
-                file=sys.stderr,
-            )
-    if args.json:
-        print(json.dumps(report.table_row()))
-        return 0
-    print(f"method:      {report.method}")
-    print(f"circuit:     {report.circuit}")
-    print(f"non-trivial: {'yes' if report.nontrivial else 'no'}")
-    print(f"cpu time:    {report.elapsed:.3f}s")
-    if report.time_to_first_nontrivial is not None:
-        print(f"first r != r_bot after {report.time_to_first_nontrivial:.3f}s")
-    if report.aborted:
-        print(f"ABORTED: {report.abort_reason}")
-    detail = report.detail
-    if args.method == "approx2" and detail is not None and not report.aborted:
-        print("\nloosest validated required times:")
-        best = detail.best
-        for key in sorted(best, key=str):
-            gain = best[key] - detail.r_bottom[key]
-            marker = f"  (+{gain:g})" if gain > 0 else ""
-            print(f"  {key}: {format_time(best[key])}{marker}")
-    if args.method == "approx1" and detail is not None:
-        for i, profile in enumerate(detail.profiles):
-            print(f"\nprime {i + 1}:")
-            for x, (r0, r1) in sorted(profile.as_dict().items()):
-                print(
-                    f"  {x}: by {format_time(r1)} when 1, "
-                    f"by {format_time(r0)} when 0"
-                )
-    return 0
-
-
-def _cmd_required_cached(
-    args: argparse.Namespace, options: dict, cache_dir: str, delays=None
-) -> int:
-    """``required`` through the persistent result cache (serial path).
-
-    A hit replays the stored canonical result without running any
-    engine; a miss computes and stores it.  The machine-readable row of
-    a warm run is bit-identical to the cold run it reuses (including the
-    recorded cold CPU time) — only the ``cache`` field differs.
-    """
-    from repro.cache import ResultCache, cached_analyze_required_times
-    from repro.obs import span
-
-    trace = None
     if args.trace is not None:
         from repro.obs import start_trace
 
         start_trace()
     try:
         with span(
-            "cli.required", netlist=args.netlist, method=args.method, cache=True
+            "cli.required", netlist=args.netlist, method=args.method, jobs=args.jobs
         ):
             net = load_network(args.netlist)
-            cache = ResultCache(cache_dir)
-            result, hit = cached_analyze_required_times(
-                net, args.method, cache, delays=delays,
-                output_required=args.required, options=options,
-            )
+            cache = None if cache_dir is None else ResultCache(cache_dir)
+            if args.jobs == 1:
+                result, hit = cached_analyze_required_times(
+                    net, args.method, cache, delays=delays,
+                    output_required=args.required, options=options,
+                )
+            else:
+                run = analyze_cones(
+                    net, cone_keys(net, args.method, delays, args.required, options),
+                    args.method, cache, required_map(net, args.required),
+                    delays=delays, options=options, jobs=args.jobs,
+                )
     finally:
         if args.trace is not None:
             from repro.obs import stop_trace
@@ -268,14 +210,18 @@ def _cmd_required_cached(
                 f"coverage {trace.coverage():.1%}, written to {args.trace}",
                 file=sys.stderr,
             )
+    if args.jobs != 1:
+        return _print_sharded(args, net, run)
     if args.json:
         row = result.table_row()
-        row["cache"] = "hit" if hit else "miss"
+        if cache is not None:
+            row["cache"] = "hit" if hit else "miss"
         print(json.dumps(row))
         return 0
     print(f"method:      {result.method}")
     print(f"circuit:     {result.circuit}")
-    print(f"cache:       {'hit' if hit else 'miss'} ({cache_dir})")
+    if cache is not None:
+        print(f"cache:       {'hit' if hit else 'miss'} ({cache_dir})")
     print(f"non-trivial: {'yes' if result.nontrivial else 'no'}")
     print(f"cpu time:    {result.elapsed:.3f}s" + (" (cached)" if hit else ""))
     if result.time_to_first_nontrivial is not None:
@@ -288,64 +234,17 @@ def _cmd_required_cached(
     return 0
 
 
-def _cmd_required_sharded(
-    args: argparse.Namespace, options: dict, cache_dir: str | None = None,
-    delays=None,
-) -> int:
-    """``required --jobs N``: one task per output cone, min-merged.
+def _print_sharded(args: argparse.Namespace, net: Network, run) -> int:
+    """Print ``required --jobs N``: the per-cone results, min-merged.
 
-    Each primary output's transitive-fanin cone is an independent
-    required-time problem (the per-output decomposition functional timing
-    engines exploit); the requirement an input must satisfy is the
-    earliest any cone demands.  The merge is exact for ``topological``
-    and sound-but-possibly-tighter for the approximate methods (a cone
-    cannot see looseness that only exists network-wide); the serial
-    whole-network analysis stays the default at ``--jobs 1``.
+    The merge is exact for ``topological`` and sound-but-possibly-tighter
+    for the approximate methods (a cone cannot see looseness that only
+    exists network-wide), so ``--jobs 1`` stays the whole-network default.
     """
-    from repro.core.required_time import topological_input_required_times
-    from repro.parallel import (
-        merge_required_outcomes,
-        run_batch,
-        shard_required_time,
-    )
+    from repro.parallel import merge_required_outcomes
 
-    trace_to = None
-    if args.trace is not None:
-        from repro.obs import start_trace
-
-        start_trace()
-    try:
-        from repro.obs import span
-
-        with span(
-            "cli.required",
-            netlist=args.netlist,
-            method=args.method,
-            jobs=args.jobs,
-        ):
-            net = load_network(args.netlist)
-            task_options = dict(options)
-            if cache_dir is not None:
-                # workers consult/populate the shared disk tier per cone
-                task_options["cache_dir"] = cache_dir
-            tasks = shard_required_time(
-                net, args.method, output_required=args.required,
-                delays=delays, options=task_options,
-            )
-            batch = run_batch(tasks, jobs=args.jobs)
-            outcomes = [o.value for o in batch.outcomes if o.ok]
-            merged = merge_required_outcomes(outcomes)
-    finally:
-        if args.trace is not None:
-            from repro.obs import stop_trace
-
-            trace_to = stop_trace()
-            trace_to.save(args.trace)
-            print(
-                f"trace: {trace_to.num_spans} spans, "
-                f"coverage {trace_to.coverage():.1%}, written to {args.trace}",
-                file=sys.stderr,
-            )
+    merged = merge_required_outcomes(list(run.results.values()))
+    batch = run.batch
     errors = batch.errors
     if args.json:
         print(
@@ -369,7 +268,7 @@ def _cmd_required_sharded(
         return 0 if not errors else 1
     print(f"method:      {args.method} (sharded per output, jobs={batch.jobs})")
     print(f"circuit:     {net.name}")
-    print(f"cones:       {len(batch.outcomes)} ({len(errors)} failed)")
+    print(f"cones:       {net.num_outputs} ({len(errors)} failed)")
     print(f"non-trivial: {'yes' if merged['nontrivial_any_cone'] else 'no'}")
     print(f"wall time:   {batch.wall:.3f}s")
     if merged["aborted_cones"]:

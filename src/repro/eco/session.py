@@ -12,20 +12,21 @@ while touching only what the edit dirtied:
 2. the dirty **candidates** are the outputs in the transitive fanout of
    the touched nodes (:func:`repro.network.transform.transitive_fanout`)
    — a pure graph walk, no hashing of unaffected cones;
-3. only candidate cones are re-hashed (:func:`repro.cache.keys.required_key`);
+3. only candidate cones are re-hashed (:func:`repro.cache.incremental.cone_key`);
    an unchanged digest proves the cone identical and keeps its row;
-4. changed digests consult the session's :class:`ResultCache`, and real
-   misses run through the same ``required_time_task``/``run_batch``
-   worker core a sharded ``required --jobs N`` run uses;
-5. all per-cone outcomes min-merge with
+4. changed digests go through :func:`repro.cache.incremental.analyze_cones`,
+   the per-cone step a sharded ``required --jobs N`` run and
+   :func:`~repro.cache.incremental.incremental_required_times` also use:
+   it probes the session's :class:`ResultCache` and dispatches only the
+   real misses to the worker core;
+5. all per-cone results min-merge with
    :func:`repro.parallel.merge.merge_required_outcomes`.
 
-Because steps 3–5 are byte-for-byte the pipeline of
-:func:`repro.cache.incremental.incremental_required_times`, a session's
-merged view and canonical rows after any edit sequence are bit-identical
-to a cold full run of the final network — the invariant the ``eco`` fuzz
-family and ``benchmarks/bench_eco.py`` check after every single edit
-(:meth:`~NetworkSession.verify_against_full_recompute`).
+Because steps 4–5 are the very code every other per-cone path runs, a
+session's merged view and canonical rows after any edit sequence are
+bit-identical to a cold full run of the final network — the invariant
+the ``eco`` fuzz family and ``benchmarks/bench_eco.py`` check after
+every single edit (:meth:`~NetworkSession.verify_against_full_recompute`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.cache.incremental import _required_map
-from repro.cache.keys import required_key
+from repro.cache.incremental import analyze_cones, cone_key
+from repro.cache.keys import required_map
 from repro.cache.results import CachedRequiredResult, jsonify
 from repro.cache.store import ResultCache
 from repro.eco.edits import Edit, edit_from_dict
@@ -109,7 +110,7 @@ class NetworkSession:
         self.network = network.copy()
         self.method = method
         self.delays = delays
-        self.required = _required_map(self.network, output_required)
+        self.required = required_map(self.network, output_required)
         #: fallback requirement for outputs introduced by retarget_outputs
         self.default_required = (
             0.0 if isinstance(output_required, Mapping) else float(output_required)
@@ -119,7 +120,7 @@ class NetworkSession:
         self.jobs = jobs
         self.edits_applied = 0
         self._digests: dict[str, str] = {}
-        self._outcomes: dict[str, object] = {}
+        self._results: dict[str, CachedRequiredResult] = {}
         self._failed: set[str] = set()
         # eager cold analysis: every output is a candidate of edit #0
         self._refresh(self.network.outputs)
@@ -130,69 +131,39 @@ class NetworkSession:
     def _refresh(self, candidates: Iterable[str]) -> EditResult:
         """Re-hash ``candidates``' cones and recompute the changed ones.
 
-        This is steps 3–5 of the module docstring — deliberately the
-        same key/task/merge pipeline as ``incremental_required_times``
-        so session rows can never drift from a cold run.
+        Steps 3–5 of the module docstring: unchanged digests keep their
+        rows; the rest go through :func:`~repro.cache.incremental
+        .analyze_cones`, the per-cone step of every other path, so
+        session rows can never drift from a cold run.  This method only
+        keeps the per-output digest bookkeeping.
         """
-        from repro.parallel import CircuitRef, required_time_task, run_batch
-        from repro.parallel.tasks import estimate_cost, output_cone
-
         result = EditResult(edit=None)  # type: ignore[arg-type]  # stamped by caller
-        tasks, task_outputs, task_keys = [], [], []
+        stale = {}
         # previously failed cones retry on every refresh until they run
         for name in dict.fromkeys([*candidates, *sorted(self._failed)]):
-            cone = output_cone(self.network, [name])
-            key = required_key(
-                cone,
-                self.method,
-                self.delays,
-                {name: self.required[name]},
-                self.options,
+            key, cone = cone_key(
+                self.network, name, self.method, self.delays,
+                self.required[name], self.options,
             )
             result.candidates.append(name)
             if self._digests.get(name) == key.digest:
                 result.clean.append(name)
-                continue
-            payload = self.cache.get(key)
-            if payload is not None:
-                cached = CachedRequiredResult.from_payload(payload)
-                cached.circuit = self.network.name
-                self._outcomes[name] = cached.to_outcome()
+            else:
+                stale[name] = (key, cone)
+        run = analyze_cones(
+            self.network, stale, self.method, self.cache, self.required,
+            delays=self.delays, options=self.options, jobs=self.jobs,
+        )
+        result.cached, result.dirty, result.failed = run.cached, run.dirty, run.failed
+        for name, (key, _) in stale.items():
+            if name in run.results:
+                self._results[name] = run.results[name]
                 self._digests[name] = key.digest
                 self._failed.discard(name)
-                result.cached.append(name)
-                continue
-            result.dirty.append(name)
-            tasks.append(
-                required_time_task(
-                    CircuitRef.inline(cone, key=f"{self.network.name}/{name}"),
-                    self.method,
-                    output_required={name: self.required[name]},
-                    delays=self.delays,
-                    options=self.options,
-                    cost=estimate_cost(cone, self.method, self.options),
-                    task_id=f"{self.network.name}/{self.method}/{name}",
-                )
-            )
-            task_outputs.append(name)
-            task_keys.append(key)
-        if tasks:
-            batch = run_batch(tasks, jobs=self.jobs)
-            for name, key, outcome in zip(task_outputs, task_keys, batch.outcomes):
-                if not outcome.ok:
-                    self._failed.add(name)
-                    self._digests.pop(name, None)
-                    self._outcomes.pop(name, None)
-                    result.failed.append(name)
-                    continue
-                value = outcome.value
-                self._outcomes[name] = value
-                self._digests[name] = key.digest
-                self._failed.discard(name)
-                if not value.aborted:
-                    self.cache.put(
-                        key, CachedRequiredResult.from_outcome(value).to_payload()
-                    )
+            else:
+                self._failed.add(name)
+                self._digests.pop(name, None)
+                self._results.pop(name, None)
         return result
 
     # ------------------------------------------------------------------
@@ -235,7 +206,7 @@ class NetworkSession:
                 ]
                 for name in result.removed:
                     self._digests.pop(name, None)
-                    self._outcomes.pop(name, None)
+                    self._results.pop(name, None)
                     self._failed.discard(name)
                     self.required.pop(name, None)
             else:
@@ -272,9 +243,9 @@ class NetworkSession:
         """Per-output canonical rows of the current state — the parity
         currency (byte-identical to a cold run's rows)."""
         return {
-            name: CachedRequiredResult.from_outcome(self._outcomes[name]).row()
+            name: self._results[name].row()
             for name in self.network.outputs
-            if name in self._outcomes
+            if name in self._results
         }
 
     def digests(self) -> dict[str, str]:
@@ -287,9 +258,9 @@ class NetworkSession:
 
         return merge_required_outcomes(
             [
-                self._outcomes[name]
+                self._results[name]
                 for name in self.network.outputs
-                if name in self._outcomes
+                if name in self._results
             ]
         )
 

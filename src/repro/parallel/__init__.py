@@ -34,13 +34,13 @@ from repro.parallel.results import (
     BatchResult,
     FuzzCaseOutcome,
     PoolEvent,
-    RequiredTimeOutcome,
     TaskOutcome,
 )
 from repro.parallel.tasks import (
     CircuitRef,
     ParallelError,
     Task,
+    cone_task,
     estimate_cost,
     order_by_cost,
     output_cone,
@@ -55,10 +55,10 @@ __all__ = [
     "FuzzCaseOutcome",
     "ParallelError",
     "PoolEvent",
-    "RequiredTimeOutcome",
     "Task",
     "TaskOutcome",
     "WorkerPool",
+    "cone_task",
     "default_jobs",
     "estimate_cost",
     "graft_spans",

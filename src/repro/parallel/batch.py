@@ -45,6 +45,9 @@ def run_batch(
             return pool.run(tasks)
     if jobs <= 1:
         return _run_serial(tasks)
+    if not tasks:
+        # nothing to dispatch (e.g. a fully warm per-cone run): no pool
+        return BatchResult(outcomes=[], jobs=jobs)
     with span("parallel.batch", tasks=len(tasks), jobs=jobs):
         with WorkerPool(jobs) as owned:
             return owned.run(tasks)

@@ -24,10 +24,14 @@ has a parent-side home:
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import REGISTRY
 from repro.obs import trace as _trace_mod
-from repro.parallel.results import RequiredTimeOutcome, TaskOutcome
+from repro.parallel.results import TaskOutcome
+
+if TYPE_CHECKING:
+    from repro.cache.results import CachedRequiredResult
 
 #: worker metric deltas accumulated since process start; exposed to
 #: ``REGISTRY.snapshot()`` through the ``parallel.worker`` collector
@@ -107,9 +111,7 @@ def merge_outcome_obs(outcome: TaskOutcome, base_offset: float = 0.0) -> None:
 # ----------------------------------------------------------------------
 # required-time-specific merging (the per-output shard)
 # ----------------------------------------------------------------------
-def merge_required_outcomes(
-    outcomes: list[RequiredTimeOutcome],
-) -> dict:
+def merge_required_outcomes(outcomes: list[CachedRequiredResult]) -> dict:
     """Min-combine per-output-cone requirements into the network view.
 
     Each cone's ``input_times`` is the requirement that cone's outputs

@@ -2,18 +2,16 @@
 
 Every field that crosses the process boundary is plain data (strings,
 numbers, tuples, dicts): engine objects — BDD managers, relations, SAT
-solvers — never leave the worker.  What does leave is the *canonical
-result row* (:meth:`RequiredTimeOutcome.row`), which deliberately excludes
-wall-clock fields so that serial and parallel runs of the same task are
-bit-comparable.
+solvers — never leave the worker.  A ``required`` task returns the one
+required-time result type,
+:class:`~repro.cache.results.CachedRequiredResult`, whose canonical row
+excludes wall-clock fields so that serial and parallel runs of the same
+task are bit-comparable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-INF = math.inf
 
 
 @dataclass
@@ -28,8 +26,9 @@ class TaskOutcome:
 
     task_id: str
     ok: bool
-    #: handler-specific payload (e.g. :class:`RequiredTimeOutcome`);
-    #: ``None`` on failure
+    #: handler-specific payload (a
+    #: :class:`~repro.cache.results.CachedRequiredResult` for ``required``
+    #: tasks); ``None`` on failure
     value: object = None
     error: str | None = None
     error_type: str | None = None
@@ -44,49 +43,6 @@ class TaskOutcome:
     #: serialized span tree recorded in the worker (when the parent was
     #: tracing), ready for grafting into the parent trace
     spans: list[dict] = field(default_factory=list)
-
-
-@dataclass
-class RequiredTimeOutcome:
-    """One required-time analysis, reduced to its picklable essence."""
-
-    method: str
-    circuit: str
-    #: the cone this task analyzed (None = whole network)
-    outputs: tuple[str, ...] | None
-    nontrivial: bool
-    elapsed: float
-    aborted: bool = False
-    abort_reason: str | None = None
-    #: engine stats (leaf counts, BDD/SAT counters) — plain dicts
-    stats: dict = field(default_factory=dict)
-    #: method-specific canonical results (approx2 best vector, approx1
-    #: primes, exact row counts, …) — deterministic, time-free
-    digest: dict = field(default_factory=dict)
-    #: the value-independent requirement this task's cone imposes per
-    #: input (the min-merge currency); None when the method yields no
-    #: single safe vector (exact)
-    input_times: dict[str, float] | None = None
-    #: the topological baseline restricted to this cone's inputs
-    baseline: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def status(self) -> str:
-        if not self.aborted:
-            return "ok"
-        reason = self.abort_reason or ""
-        return "memory out" if "node budget" in reason else "aborted"
-
-    def row(self) -> dict:
-        """The canonical (time-free) result row used for parity checks."""
-        return {
-            "circuit": self.circuit,
-            "method": self.method,
-            "outputs": list(self.outputs) if self.outputs is not None else None,
-            "nontrivial": self.nontrivial,
-            "status": self.status,
-            "digest": _canonical(self.digest),
-        }
 
 
 @dataclass
@@ -173,21 +129,9 @@ class BatchResult:
         }
 
 
-def _canonical(value):
-    """Recursively normalize containers for order-independent equality."""
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_canonical(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
 __all__ = [
     "BatchResult",
     "FuzzCaseOutcome",
     "PoolEvent",
-    "RequiredTimeOutcome",
     "TaskOutcome",
 ]

@@ -268,6 +268,35 @@ def required_time_task(
     )
 
 
+def cone_task(
+    circuit: CircuitRef,
+    cone: Network,
+    method: str,
+    required: float,
+    delays=None,
+    options: Mapping[str, object] | None = None,
+    timeout: float | None = None,
+) -> Task:
+    """The task analyzing one single-output cone: the per-output shard.
+
+    ``circuit`` resolves to ``cone`` itself or to a network containing
+    it; the worker cuts ``cone``'s output either way.  Every per-cone
+    task is built here.
+    """
+    (out,) = cone.outputs
+    return required_time_task(
+        circuit,
+        method,
+        output_required={out: required},
+        outputs=(out,),
+        delays=delays,
+        options=options,
+        cost=estimate_cost(cone, method, options),
+        timeout=timeout,
+        task_id=f"{cone.name}/{method}/{out}",
+    )
+
+
 def shard_required_time(
     network: Network,
     method: str,
@@ -285,28 +314,17 @@ def shard_required_time(
     topological baseline; for the approximate methods it can be tighter
     (less loose) than a whole-network run — see docs/PARALLEL.md.
     """
+    from repro.cache.keys import required_map
+
     ref = CircuitRef.inline(network)
-    tasks = []
-    req_map = (
-        {o: float(t) for o, t in output_required.items()}
-        if isinstance(output_required, Mapping)
-        else {o: float(output_required) for o in network.outputs}
-    )
-    for out in network.outputs:
-        cone = output_cone(network, [out])
-        tasks.append(
-            required_time_task(
-                ref,
-                method,
-                output_required={out: req_map[out]},
-                outputs=(out,),
-                delays=delays,
-                options=options,
-                cost=estimate_cost(cone, method, options),
-                timeout=timeout,
-            )
+    req_map = required_map(network, output_required)
+    return [
+        cone_task(
+            ref, output_cone(network, [out]), method, req_map[out],
+            delays=delays, options=options, timeout=timeout,
         )
-    return tasks
+        for out in network.outputs
+    ]
 
 
 def order_by_cost(tasks: Iterable[Task]) -> list[Task]:
@@ -321,6 +339,7 @@ __all__ = [
     "METHOD_WEIGHTS",
     "ParallelError",
     "Task",
+    "cone_task",
     "estimate_cost",
     "order_by_cost",
     "output_cone",

@@ -29,12 +29,8 @@ from collections import OrderedDict
 
 from repro.obs.metrics import REGISTRY
 from repro.obs import trace as _trace_mod
-from repro.parallel.results import (
-    FuzzCaseOutcome,
-    RequiredTimeOutcome,
-    TaskOutcome,
-)
-from repro.parallel.tasks import ParallelError, Task, output_cone
+from repro.parallel.results import FuzzCaseOutcome, TaskOutcome
+from repro.parallel.tasks import Task, output_cone
 
 
 class WorkerState:
@@ -44,19 +40,6 @@ class WorkerState:
         self.max_networks = max_networks
         self._networks: OrderedDict[str, object] = OrderedDict()
         self.tasks_run = 0
-        #: cache_dir → ResultCache: each worker keeps one two-tier handle
-        #: per shared disk tree, so its memory tier stays warm across
-        #: tasks while the disk tier is shared with every sibling worker
-        self._result_caches: dict[str, object] = {}
-
-    def result_cache(self, cache_dir: str):
-        cache = self._result_caches.get(cache_dir)
-        if cache is None:
-            from repro.cache import ResultCache
-
-            cache = ResultCache(cache_dir, memory_entries=64)
-            self._result_caches[cache_dir] = cache
-        return cache
 
     def network(self, ref) -> object:
         """A fresh private copy of ``ref``'s network, via the warm cache."""
@@ -74,77 +57,25 @@ class WorkerState:
 # ----------------------------------------------------------------------
 # handlers
 # ----------------------------------------------------------------------
-def _handle_required(payload: dict, state: WorkerState) -> RequiredTimeOutcome:
-    from repro.core.required_time import (
-        analyze_required_times,
-        topological_input_required_times,
-    )
+def _handle_required(payload: dict, state: WorkerState):
+    """One analysis through the whole-network step, without a cache:
+    the calling process probes and stores (docs/PARALLEL.md)."""
+    from repro.cache import cached_analyze_required_times
 
-    from repro.cache import CachedRequiredResult, required_key
-    from repro.cache.results import summarize_report
-
-    ref = payload["circuit"]
-    method = payload["method"]
+    network = state.network(payload["circuit"])
     outputs = payload["outputs"]
-    delays = payload["delays"]
-    options = dict(payload["options"])
-    # transport option: names the shared disk tier this worker consults
-    cache_dir = options.pop("cache_dir", None)
-    # key options still include exact_row_counts (it widens the digest);
-    # the engine kwargs must not
-    key_options = dict(options)
-    row_counts_opt = options.pop("exact_row_counts", None)
-    network = state.network(ref)
-    circuit_name = network.name
     if outputs is not None:
         network = output_cone(network, list(outputs))
-    output_required = payload["output_required"]
-
-    cache = state.result_cache(cache_dir) if cache_dir else None
-    key = None
-    if cache is not None:
-        key = required_key(network, method, delays, output_required, key_options)
-        stored = cache.get(key)
-        if stored is not None:
-            result = CachedRequiredResult.from_payload(stored)
-            result.circuit = circuit_name
-            outcome = result.to_outcome()
-            outcome.outputs = tuple(outputs) if outputs is not None else None
-            return outcome
-
-    baseline = topological_input_required_times(network, delays, output_required)
-    report = analyze_required_times(
-        network, method, delays=delays, output_required=output_required, **options
+    result, _ = cached_analyze_required_times(
+        network,
+        payload["method"],
+        None,
+        delays=payload["delays"],
+        output_required=payload["output_required"],
+        options=payload["options"],
     )
-    digest, input_times = summarize_report(report, baseline, row_counts_opt)
-    outcome = RequiredTimeOutcome(
-        method=method,
-        circuit=circuit_name,
-        outputs=outputs,
-        nontrivial=report.nontrivial,
-        elapsed=report.elapsed,
-        aborted=report.aborted,
-        abort_reason=report.abort_reason,
-        stats=_plain(report.stats),
-        digest=digest,
-        input_times=input_times,
-        baseline=dict(baseline),
-    )
-    if cache is not None and not report.aborted:
-        cache.put(key, CachedRequiredResult.from_outcome(outcome).to_payload())
-    return outcome
-
-
-def _plain(value):
-    """Deep-copy ``value`` keeping only plain JSON-ish data (defensive:
-    engine stats must never smuggle an unpicklable object across)."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+    result.outputs = None if outputs is None else list(outputs)
+    return result
 
 
 def _handle_fuzz_case(payload: dict, state: WorkerState) -> FuzzCaseOutcome:

@@ -45,7 +45,9 @@ from ..cache import (
     CachedRequiredResult,
     ResultCache,
     jsonify,
+    lookup_result,
     required_key,
+    store_result,
 )
 from ..eco import NetworkSession
 from ..errors import EcoError, ReproError, ServeError
@@ -576,14 +578,17 @@ class ReproServer:
         body = req.json()
         entry = self._resolve_circuit(body.get("circuit"))
         method, delays, output_required, options = self._parse_required_params(body)
+        # hashing validates the boundary condition (TimingError → 400)
+        # before the probe, so cold and warm daemons answer alike
         key = required_key(entry.network, method, delays, output_required, options)
 
+        # the probe stays on the event loop: hits never queue behind
+        # the dispatcher
         with self._cache_lock:
-            cached = self.cache.get(key)
-        if cached is not None:
+            result = lookup_result(self.cache, key)
+        if result is not None:
             REGISTRY.counter("serve.cache_hits").inc()
-            result = CachedRequiredResult.from_payload(cached)
-            result.circuit = entry.network.name
+            result.circuit, result.outputs = entry.network.name, None
             return 200, self._required_payload(entry, key, result, cache="hit"), {}
 
         async def compute() -> dict:
@@ -621,11 +626,9 @@ class ReproServer:
                 status=500,
                 code=code,
             )
-        result = CachedRequiredResult.from_outcome(outcome.value)
-        result.circuit = entry.network.name
-        if not result.aborted:
-            with self._cache_lock:
-                self.cache.put(key, result.to_payload())
+        result = outcome.value
+        with self._cache_lock:
+            store_result(self.cache, key, result)
         REGISTRY.counter("serve.computations").inc()
         payload = self._required_payload(entry, key, result, cache="miss")
         payload["attempts"] = outcome.attempts

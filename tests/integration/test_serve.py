@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.cache import ResultCache, cached_analyze_required_times
-from repro.circuits import figure4
+from repro.circuits import c17, carry_skip_block, figure4
 from repro.cli import main
 from repro.network import write_blif
 from repro.obs import REGISTRY
@@ -30,6 +30,8 @@ from repro.serve import ReproServer, ServerConfig
 from tests.integration.serve_client import ServeClient
 
 FIG4_BLIF = write_blif(figure4())
+CSKIP_BLIF = write_blif(carry_skip_block())
+C17_BLIF = write_blif(c17())
 
 
 def counter_value(name: str) -> float:
@@ -97,6 +99,34 @@ class TestColdWarmParity:
             served["table_row"], sort_keys=True
         )
 
+    def test_served_miss_keeps_first_nontrivial(self, cached_server, tmp_path, capsys):
+        """A pooled miss keeps the time to the first non-trivial vector,
+        and so does the CLI replaying the entry the daemon wrote."""
+        client = ServeClient(cached_server.port)
+        status, served, _ = client.post(
+            "/required",
+            {
+                "circuit": {"netlist": CSKIP_BLIF},
+                "method": "approx2",
+                "options": {"engine": "sat"},
+            },
+        )
+        assert status == 200 and served["cache"] == "miss"
+        assert served["row"]["nontrivial"]
+        assert served["table_row"]["first_nontrivial"] is not None
+        netlist = tmp_path / "cskip.blif"
+        netlist.write_text(CSKIP_BLIF)
+        assert main(
+            [
+                "required", str(netlist), "--method", "approx2",
+                "--cache-dir", cached_server.config.cache_dir, "--json",
+            ]
+        ) == 0
+        cli_row = json.loads(capsys.readouterr().out.strip())
+        assert cli_row.pop("cache") == "hit"
+        assert cli_row["first_nontrivial"] is not None
+        assert cli_row == served["table_row"]
+
     def test_served_rows_match_serial_library_run(self, cached_server):
         """Canonical-row parity against a fresh in-process serial run."""
         client = ServeClient(cached_server.port)
@@ -111,6 +141,48 @@ class TestColdWarmParity:
             assert json.dumps(served["row"], sort_keys=True) == json.dumps(
                 serial.row(), sort_keys=True
             )
+
+
+class TestBoundaryConditions:
+    """A bad ``output_required`` map is the same 400 from a cold daemon
+    and from a warm one: the key normalization rejects it before the
+    cache probe."""
+
+    @pytest.fixture
+    def client(self):
+        with ReproServer(ServerConfig(port=0, jobs=0)) as server:
+            yield ServeClient(server.port)
+
+    @staticmethod
+    def post(client, path, required):
+        return client.post(
+            path,
+            {"circuit": {"netlist": C17_BLIF}, "method": "approx2",
+             "output_required": required},
+        )
+
+    def test_missing_output_is_400_cold_and_warm(self, client):
+        for path in ("/required", "/sessions"):
+            status, payload, _ = self.post(client, path, {"G22": 1.0})
+            assert status == 400, payload
+            assert payload["error"] == "TimingError"
+            assert "missing required times for outputs ['G23']" in payload["message"]
+        status, payload, _ = self.post(client, "/required", {"G22": 1.0, "G23": 1.0})
+        assert status == 200 and payload["cache"] == "miss"
+        status, payload, _ = self.post(client, "/required", {"G22": 1.0})
+        assert status == 400 and payload["error"] == "TimingError"
+
+    def test_non_output_name_is_400_cold_and_warm(self, client):
+        bad = {"G22": 1.0, "G23": 1.0, "bogus": 3.0}
+        status, payload, _ = self.post(client, "/required", bad)
+        assert status == 400, payload
+        assert payload["error"] == "TimingError"
+        assert "non-outputs ['bogus']" in payload["message"]
+        status, payload, _ = self.post(client, "/required", {"G22": 1.0, "G23": 1.0})
+        assert status == 200 and payload["cache"] == "miss"
+        for path in ("/required", "/sessions"):
+            status, payload, _ = self.post(client, path, bad)
+            assert status == 400 and payload["error"] == "TimingError"
 
 
 class TestCoalescing:

@@ -68,6 +68,10 @@ class TestRequiredWithCache:
         warm = json.loads(capsys.readouterr().out)
         assert cold["input_times"] == warm["input_times"]
         assert os.path.isdir(cache_dir)
+        # the caller probes every cone: a warm run dispatches no task
+        assert cold["run"]["tasks"] == 1 and warm["run"]["tasks"] == 0
+        cold["run"], warm["run"] = {}, {}
+        assert warm == cold
 
 
 class TestCacheCommand:

@@ -125,32 +125,3 @@ class TestIncremental:
         )
         assert warm.dirty == [] and warm.merged == cold.merged
 
-
-class TestWorkerSharedCache:
-    def test_pool_workers_consult_and_populate_the_disk_tier(self, tmp_path):
-        """`required` tasks carrying `cache_dir` hit across batches."""
-        from repro.parallel import (
-            CircuitRef,
-            required_time_task,
-            run_batch,
-        )
-
-        def tasks():
-            return [
-                required_time_task(
-                    CircuitRef.inline(c17(), key="c17"),
-                    "approx2",
-                    output_required=5.0,
-                    options={"cache_dir": str(tmp_path), "engine": "sat"},
-                    task_id="c17/approx2",
-                )
-            ]
-
-        cold = run_batch(tasks(), jobs=2)
-        assert cold.outcomes[0].ok
-        assert cold.outcomes[0].metrics.get("cache.misses", 0) >= 1
-        # a fresh pool, same disk tier: the worker must hit on disk
-        warm = run_batch(tasks(), jobs=2)
-        assert warm.outcomes[0].ok
-        assert warm.outcomes[0].metrics.get("cache.hits_disk", 0) >= 1
-        assert warm.outcomes[0].value.input_times == cold.outcomes[0].value.input_times

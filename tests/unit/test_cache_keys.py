@@ -5,6 +5,8 @@ docs/CACHING.md — a wrong answer in either direction is a cache bug
 (stale hits or pointless misses).
 """
 
+import pytest
+
 from repro.cache import (
     SCHEMA_VERSION,
     SEMANTIC_OPTIONS,
@@ -13,6 +15,7 @@ from repro.cache import (
     required_key,
 )
 from repro.circuits import c17, figure4
+from repro.errors import TimingError
 from repro.network import Network
 from repro.timing import DelayModel
 
@@ -56,6 +59,20 @@ class TestStability:
         a = required_key(net, "exact", output_required=2.0)
         b = required_key(net, "exact", output_required={"z": 2.0})
         assert a.digest == b.digest
+
+
+class TestBoundaryCondition:
+    def test_missing_output_is_a_timing_error(self):
+        missing = r"missing required times for outputs \['G23'\]"
+        with pytest.raises(TimingError, match=missing):
+            required_key(c17(), "approx2", output_required={"G22": 1.0})
+
+    def test_non_output_name_is_a_timing_error(self):
+        with pytest.raises(TimingError, match=r"non-outputs \['G10', 'bogus'\]"):
+            required_key(
+                c17(), "approx2",
+                output_required={"G22": 1.0, "G23": 1.0, "G10": 0.0, "bogus": 3.0},
+            )
 
 
 class TestSensitivity:

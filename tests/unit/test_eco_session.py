@@ -27,6 +27,7 @@ from repro.eco import (
     edit_from_dict,
     edits_from_json,
 )
+from repro.errors import TimingError
 from repro.network import Network
 
 
@@ -147,6 +148,13 @@ class TestSessionBasics:
         net.add_input("a")
         with pytest.raises(EcoError, match="no outputs"):
             NetworkSession(net)
+
+    def test_bad_required_map_is_a_timing_error(self):
+        missing = r"missing required times for outputs \['G23'\]"
+        with pytest.raises(TimingError, match=missing):
+            NetworkSession(c17(), output_required={"G22": 1.0})
+        with pytest.raises(TimingError, match=r"non-outputs \['G10'\]"):
+            NetworkSession(c17(), output_required={"G22": 1.0, "G23": 1.0, "G10": 0.0})
 
     def test_cold_session_has_all_rows(self):
         session = NetworkSession(c17())
