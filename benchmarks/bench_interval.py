@@ -6,9 +6,9 @@ Timed claims (the acceptance bars of docs/DELAY_MODELS.md):
   run under a point-interval model produces a canonical result row
   *byte-identical* to the scalar run (asserted, not sampled);
 * **bounds overhead** — the two-corner Figure-3 propagation
-  (:func:`~repro.timing.topological.required_time_bounds`) costs at most
-  ``BOUNDS_OVERHEAD_CEILING``× one scalar :func:`required_times` pass
-  (it does exactly twice the min-merge work in a single traversal);
+  (:func:`~repro.timing.topological.required_time_bounds`) costs a small
+  multiple of one scalar :func:`required_times` pass (it does exactly
+  twice the min-merge work in a single traversal);
 * **widened runs** — a genuinely widened model analyzes cleanly end to
   end with the ``interval`` digest stamped on the row (reported for
   context; its cost is the scalar run plus the bounds pass).
@@ -16,9 +16,9 @@ Timed claims (the acceptance bars of docs/DELAY_MODELS.md):
 Run:  pytest benchmarks/bench_interval.py --benchmark-only -q
 
 Script mode — ``python benchmarks/bench_interval.py [--smoke] [--json
-OUT]`` — replays every scenario with hard assertions and writes the
-BENCH_interval.json record; CI gates on it via
-``scripts/check_bdd_engine_regression.py --interval --smoke``.
+OUT]`` — replays every scenario with the parity and soundness assertions
+and writes the JSON payload; ``scripts/check_bench.py interval`` holds
+the overhead ceiling and the wall gate (CI runs it with ``--smoke``).
 """
 
 import json
@@ -44,11 +44,6 @@ TABLE = TableCollector(
     "Interval delays: point-interval parity and bounds overhead",
     ["circuit", "method", "scalar (s)", "interval (s)", "parity"],
 )
-
-#: two-corner bounds propagation may cost at most this many single
-#: scalar Figure-3 passes (generous: the work is exactly 2x, the
-#: ceiling absorbs timer noise on sub-millisecond circuits)
-BOUNDS_OVERHEAD_CEILING = 3.0
 
 #: (method, options) pairs every scenario runs at both delay corners
 METHODS = (
@@ -199,7 +194,7 @@ def test_zzz_print(benchmark):
 
 
 # ----------------------------------------------------------------------
-# script mode: the BENCH_interval.json record with hard gates
+# script mode: the JSON payload scripts/check_bench.py gates
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     import argparse
@@ -210,7 +205,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="smaller circuits (the CI gate)")
     parser.add_argument("--json", default=None, metavar="OUT",
-                        help="write the BENCH record to this path")
+                        help="write the JSON payload to this path")
     args = parser.parse_args(argv)
 
     circuits = scenario_circuits(args.smoke)
@@ -234,25 +229,15 @@ def main(argv=None) -> int:
             f"({record['overhead']}x)"
         )
     worst = max(bounds_records, key=lambda r: r["overhead"])
-    if worst["overhead"] > BOUNDS_OVERHEAD_CEILING:
-        print(
-            f"FAIL: required_time_bounds costs {worst['overhead']}x a scalar "
-            f"pass on {worst['circuit']} "
-            f"(ceiling {BOUNDS_OVERHEAD_CEILING}x)",
-            file=sys.stderr,
-        )
-        return 1
     print(
         f"parity: {len(parity_records)} engine runs byte-identical; "
-        f"worst bounds overhead {worst['overhead']}x "
-        f"(ceiling {BOUNDS_OVERHEAD_CEILING}x)"
+        f"worst bounds overhead {worst['overhead']}x ({worst['circuit']})"
     )
 
     if args.json:
         payload = {
             "benchmark": "interval",
             "smoke": args.smoke,
-            "bounds_overhead_ceiling": BOUNDS_OVERHEAD_CEILING,
             "results": {
                 "parity": parity_records,
                 "bounds": bounds_records,

@@ -21,9 +21,10 @@ Instead the overhead is measured as a deterministic model:
 * ``workload_wall_time`` is the best of several timed runs (minima
   under-state the denominator, again conservative).
 
-The file is wired into ``scripts/check_bdd_engine_regression.py`` so a
-creeping disabled-mode cost — a new span inside a hot loop, a guard
-that starts allocating — fails CI like any other engine regression.
+CI runs this file with pytest on every push, so a creeping
+disabled-mode cost — a new span inside a hot loop, a guard that starts
+allocating — fails CI; the ``engine`` scenario of
+``scripts/check_bench.py`` also gates its wall time.
 
 Run:  pytest benchmarks/bench_obs_overhead.py --benchmark-only -q
 """

@@ -2,11 +2,10 @@
 
 Timed claim (the acceptance bar of docs/SERVING.md): for the Table-1
 MCNC-like circuits, a **warm** ``repro serve`` daemon must answer a
-``POST /required`` request with a p50 latency at least
-``WARM_SPEEDUP_FLOOR``x (10x) better than a **cold** ``repro required``
-CLI invocation of the same analysis — the daemon amortizes interpreter
-startup, parsing, and the engine run into its registry and result
-cache.  Two exactness gates ride along: every served canonical row must
+``POST /required`` request with a p50 latency at least 10x better than
+a **cold** ``repro required`` CLI invocation of the same analysis — the
+daemon amortizes interpreter startup, parsing, and the engine run into
+its registry and result cache.  Two exactness gates ride along: every served canonical row must
 be byte-identical to the in-process
 :func:`repro.cache.cached_analyze_required_times` row (serial ground
 truth), and N identical concurrent requests for an uncached key must
@@ -16,15 +15,16 @@ through the daemon's own ``/metrics`` counters).
 The load phase is a seeded open-loop generator: arrival times are drawn
 up front from ``random.Random(SEED)`` and honored regardless of
 completions (so a slow server cannot slow the offered load), and the
-p50/p99/throughput of the warm phase land in the BENCH record.
+p50/p99/throughput of the warm phase land in the JSON payload.
 
 Run:  pytest benchmarks/bench_serve.py --benchmark-only -q
 
 Script mode — ``python benchmarks/bench_serve.py [--smoke] [--json OUT]``
 — runs cold CLI timing, the daemon load test, the coalescing probe, and
-the parity sweep with hard assertions, then writes the BENCH_serve.json
-record; CI gates on it via
-``scripts/check_bdd_engine_regression.py --serve --smoke``.
+the parity sweep (exit 1 on a parity or single-flight failure), then
+writes the JSON payload; ``scripts/check_bench.py serve`` holds the
+speedup, hit-rate, throughput and p50 bounds (CI runs it with
+``--smoke``).
 """
 
 import http.client
@@ -49,8 +49,6 @@ TABLE = TableCollector(
     ["circuit", "cold CLI p50 (s)", "warm p50 (s)", "speedup", "parity"],
 )
 
-#: warm daemon p50 must beat the cold CLI p50 by this factor, per circuit
-WARM_SPEEDUP_FLOOR = 10.0
 #: identical concurrent requests in the coalescing probe
 COALESCE_FANIN = 6
 #: the analysis every request runs (matches the CLI default engine)
@@ -302,7 +300,7 @@ def test_zzz_print(benchmark):
 
 
 # ----------------------------------------------------------------------
-# script mode: the BENCH_serve.json record with hard gates
+# script mode: the JSON payload scripts/check_bench.py gates
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     import argparse
@@ -313,7 +311,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="fewer circuits and requests (the CI gate)")
     parser.add_argument("--json", default=None, metavar="OUT",
-                        help="write the BENCH record to this path")
+                        help="write the JSON payload to this path")
     args = parser.parse_args(argv)
 
     names = ["m1", "m8"] if args.smoke else ["m1", "m4", "m8"]
@@ -354,11 +352,6 @@ def main(argv=None) -> int:
             print(f"FAIL: {name} served row diverged from the serial "
                   f"in-process row", file=sys.stderr)
             ok = False
-        if speedups[name] < WARM_SPEEDUP_FLOOR:
-            print(
-                f"FAIL: {name} warm p50 only {speedups[name]}x better than "
-                f"cold CLI (floor {WARM_SPEEDUP_FLOOR}x)", file=sys.stderr)
-            ok = False
     print(
         f"load: {load['requests']} requests at {load['offered_rps']} rps "
         f"offered -> {load['throughput_rps']} rps served, "
@@ -388,7 +381,6 @@ def main(argv=None) -> int:
             "smoke": args.smoke,
             "method": METHOD,
             "seed": SEED,
-            "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
             "cold_cli_p50_seconds": {k: round(v, 4) for k, v in cold.items()},
             "speedups": speedups,
             "parity": parity,

@@ -17,7 +17,7 @@ Script mode runs the same grid as one parallel batch — ``python
 benchmarks/bench_table1.py --jobs N [--json OUT]`` — one task per
 (circuit, method) on a warm worker pool.  Canonical result rows are
 time-free, so ``--jobs 1`` and ``--jobs N`` outputs are bit-comparable
-(the BENCH_parallel.json parity gate).
+(the ``parallel`` scenario of ``scripts/check_bench.py``).
 """
 
 import sys
@@ -175,8 +175,8 @@ def script_tasks(methods=None, circuits=None, backend=None):
 
     ``methods`` / ``circuits`` filter the grid (``None`` = everything);
     ``backend`` selects the BDD kernel for the BDD-bound methods (exact,
-    approx1) — this is what the ``check_bdd_engine_regression.py
-    --native-backend`` gate drives to compare the kernels on identical
+    approx1) — this is what the ``native`` scenario of
+    ``scripts/check_bench.py`` drives to compare the kernels on identical
     row sets.
     """
     from repro.parallel import CircuitRef, estimate_cost, required_time_task

@@ -44,7 +44,6 @@ from repro.cache.keys import (
     canonical_network,
     network_digest,
     required_key,
-    required_map,
 )
 from repro.cache.layer import (
     cached_analyze_required_times,
@@ -58,6 +57,7 @@ from repro.cache.store import (
     ResultCache,
     default_cache_dir,
 )
+from repro.timing import required_map
 
 __all__ = [
     "CacheKey",

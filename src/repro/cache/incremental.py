@@ -24,12 +24,13 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from repro.cache.keys import CacheKey, required_key, required_map
+from repro.cache.keys import CacheKey, required_key
 from repro.cache.layer import lookup_result, store_result
 from repro.cache.results import CachedRequiredResult
 from repro.cache.store import ResultCache
 from repro.network.network import Network
 from repro.obs.trace import span
+from repro.timing import required_map
 
 if TYPE_CHECKING:
     from repro.parallel.results import BatchResult

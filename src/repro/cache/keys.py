@@ -32,8 +32,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.errors import TimingError
 from repro.network.network import Network
+from repro.timing import required_map
 
 #: Bump whenever the canonical payload layout, the digest recipe, or the
 #: meaning of a cached result changes: old entries become unreachable
@@ -74,27 +74,6 @@ def canonical_network(network: Network) -> dict:
 def network_digest(network: Network) -> str:
     """SHA-256 of the canonical structure alone (no delays, no method)."""
     return _digest({"schema": SCHEMA_VERSION, "network": canonical_network(network)})
-
-
-def required_map(
-    network: Network, output_required: Mapping[str, float] | float
-) -> dict[str, float]:
-    """The boundary condition as an explicit per-output float map.
-
-    The single normalization every key, cone task and ECO session uses.
-    A map must name every primary output and nothing else: a missing
-    output or a non-output name raises :class:`TimingError`, so a bad
-    request fails before any cache probe whatever the cache holds.
-    """
-    if not isinstance(output_required, Mapping):
-        return {o: float(output_required) for o in network.outputs}
-    missing = set(network.outputs) - set(output_required)
-    if missing:
-        raise TimingError(f"missing required times for outputs {sorted(missing)}")
-    extra = set(output_required) - set(network.outputs)
-    if extra:
-        raise TimingError(f"required times given for non-outputs {sorted(extra)}")
-    return {o: float(output_required[o]) for o in network.outputs}
 
 
 #: The backend whose digests carry no ``backend`` entry at all.  This is
@@ -206,5 +185,4 @@ __all__ = [
     "canonical_network",
     "network_digest",
     "required_key",
-    "required_map",
 ]

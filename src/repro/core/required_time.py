@@ -30,7 +30,7 @@ from repro.timing.delay import (
     unit_delay,
     unit_interval_delay,
 )
-from repro.timing.topological import required_time_bounds
+from repro.timing.topological import required_map, required_time_bounds
 from repro.timing.topological import required_times as topo_required
 
 INF = math.inf
@@ -170,8 +170,14 @@ def analyze_required_times(
     and runs the χ machinery on the conservative hi corner, attaching
     ``[lo, hi]`` input-requirement bounds to ``stats["interval"]`` when
     the model is genuinely widened (docs/DELAY_MODELS.md).
+
+    A per-output ``output_required`` map must name every primary output
+    and nothing else (:func:`~repro.timing.required_map`); every method
+    raises the same :class:`TimingError` otherwise.
     """
     delays = _resolve_delays(delays, delay_model)
+    if isinstance(output_required, Mapping):
+        output_required = required_map(network, output_required)
     with span("required.analyze", circuit=network.name, method=method):
         report = _analyze(network, method, delays, output_required, options)
         if isinstance(delays, IntervalDelayModel) and not delays.is_point():

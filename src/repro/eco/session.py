@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.cache.incremental import analyze_cones, cone_key
-from repro.cache.keys import required_map
 from repro.cache.results import CachedRequiredResult, jsonify
 from repro.cache.store import ResultCache
 from repro.eco.edits import Edit, edit_from_dict
@@ -44,6 +43,7 @@ from repro.errors import EcoError
 from repro.network.network import Network
 from repro.network.transform import transitive_fanout
 from repro.obs.trace import span
+from repro.timing import required_map
 
 
 @dataclass

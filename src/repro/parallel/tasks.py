@@ -314,7 +314,7 @@ def shard_required_time(
     topological baseline; for the approximate methods it can be tighter
     (less loose) than a whole-network run — see docs/PARALLEL.md.
     """
-    from repro.cache.keys import required_map
+    from repro.timing import required_map
 
     ref = CircuitRef.inline(network)
     req_map = required_map(network, output_required)

@@ -10,8 +10,8 @@ envelope (kill-replace-requeue, never a hang).  ECO sessions
 (:class:`repro.eco.NetworkSession`) are exposed as stateful HTTP
 resources with idle eviction.  See docs/SERVING.md for the endpoint
 reference and contracts, and ``benchmarks/bench_serve.py`` for the
-seeded load harness that gates latency, throughput, coalescing, and
-parity into ``BENCH_serve.json``.
+seeded load harness that measures latency, throughput, coalescing, and
+parity for the ``serve`` scenario of ``scripts/check_bench.py``.
 """
 
 from repro.serve.app import DEBUG_TASK_KINDS, METHODS, ReproServer, ServerConfig

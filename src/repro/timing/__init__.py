@@ -29,6 +29,7 @@ from repro.timing.delay import (
 from repro.timing.topological import (
     TopologicalTiming,
     arrival_times,
+    required_map,
     required_time_bounds,
     required_times,
     slacks,
@@ -66,6 +67,7 @@ __all__ = [
     "unit_interval_delay",
     "TopologicalTiming",
     "arrival_times",
+    "required_map",
     "required_time_bounds",
     "required_times",
     "slacks",

@@ -100,6 +100,28 @@ def required_times(
     return req
 
 
+def required_map(
+    network: Network, output_required: Mapping[str, float] | float
+) -> dict[str, float]:
+    """The boundary condition as an explicit per-output float map.
+
+    The single normalization every engine entry point, cache key, cone
+    task and ECO session uses.  A map must name every primary output and
+    nothing else: a missing output or a non-output name raises
+    :class:`TimingError`, so a bad request fails the same way on every
+    path, before any engine run or cache probe.
+    """
+    if not isinstance(output_required, Mapping):
+        return {o: float(output_required) for o in network.outputs}
+    missing = set(network.outputs) - set(output_required)
+    if missing:
+        raise TimingError(f"missing required times for outputs {sorted(missing)}")
+    extra = set(output_required) - set(network.outputs)
+    if extra:
+        raise TimingError(f"required times given for non-outputs {sorted(extra)}")
+    return {o: float(output_required[o]) for o in network.outputs}
+
+
 def required_time_bounds(
     network: Network,
     delays: IntervalDelayModel,

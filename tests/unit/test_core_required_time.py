@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits import carry_skip_adder, figure4, parity_tree
+from repro.circuits import c17, carry_skip_adder, figure4, parity_tree
 from repro.core.required_time import (
     INF,
     RequiredTimeProfile,
@@ -91,6 +91,14 @@ class TestFacade:
     def test_unknown_method_rejected(self):
         with pytest.raises(TimingError):
             analyze_required_times(figure4(), "magic", output_required=2.0)
+
+    @pytest.mark.parametrize("method", ["topological", "exact", "approx1", "approx2"])
+    def test_required_map_naming_an_internal_node_rejected(self, method):
+        # every method applies the one boundary rule the cache keys use
+        with pytest.raises(TimingError, match=r"non-outputs \['G10'\]"):
+            analyze_required_times(
+                c17(), method, output_required={"G22": 1, "G23": 1, "G10": -5}
+            )
 
     def test_table_row_shape(self):
         report = analyze_required_times(parity_tree(4), "approx1", output_required=0.0)
