@@ -7,10 +7,10 @@ validated, and the CPU time until the maximal r is found.  Shape targets:
 * the parity/ripple circuits (s499, s880, s1355 — the C499/C880/C1355
   analogues) report **No**;
 * everything else reports **Yes**;
-* on the hard circuits (s3540, s6288 — the "> 12 hours" rows) the run
-  aborts on its budget but still reports its first non-trivial time,
-  reproducing the paper's observation that useful information arrives
-  within the first seconds.
+* the hard circuits (s3540, s6288 — the paper's "> 12 hours" rows) run
+  under a smaller budget; a run that aborts on it must still report its
+  first non-trivial time well inside the budget, the paper's observation
+  that useful information arrives within the first seconds.
 
 Run:  pytest benchmarks/bench_table2.py --benchmark-only -q
 """
@@ -37,9 +37,9 @@ TABLE = TableCollector(
     ],
 )
 
-# the two C3540/C6288-style rows get a deliberately small budget so they
-# abort, like the paper's "> 12 hours" entries (their full r_max takes
-# minutes-to-hours; their first non-trivial r arrives within seconds)
+# the two C3540/C6288-style rows (the paper's "> 12 hours" entries) get a
+# smaller budget; an abort on it must still have found a non-trivial r
+# within seconds
 HARD = {"s3540", "s6288"}
 
 

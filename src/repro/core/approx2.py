@@ -32,6 +32,7 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
+from repro.timing.chi import ChiSat
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
 
@@ -191,6 +192,10 @@ class Approx2Analysis:
         }
         self._po_cache: dict[tuple, bool] = {}
         self._po_fails: dict[str, int] = {}
+        # SAT engine: one oracle per output for the whole climb, built on
+        # the output's first cache miss; each check only changes which
+        # leaf selectors are assumed
+        self._oracles: dict[str, ChiSat] = {}
 
     @staticmethod
     def _input_of(coord) -> str:
@@ -257,14 +262,21 @@ class Approx2Analysis:
         if len(missing) > 1 and self._po_fails:
             fails = self._po_fails
             missing.sort(key=lambda item: fails.get(item[0], 0), reverse=True)
-        ft = FunctionalTiming(
-            self.network,
-            self.delays,
-            arrivals=self._to_arrivals(r),
-            engine=self.engine,
-        )
+        arrivals = self._to_arrivals(r)
+        if self.engine != "sat":
+            ft = FunctionalTiming(
+                self.network, self.delays, arrivals=arrivals, engine=self.engine
+            )
         for po, t, key in missing:
-            verdict = ft.output_stable_by(po, t)
+            if self.engine == "sat":
+                oracle = self._oracles.get(po)
+                if oracle is None:
+                    oracle = self._oracles[po] = ChiSat(
+                        self.network, po, t, self.delays
+                    )
+                verdict = oracle.stable_by(arrivals)
+            else:
+                verdict = ft.output_stable_by(po, t)
             self._po_cache[key] = verdict
             if not verdict:
                 self._po_fails[po] = self._po_fails.get(po, 0) + 1

@@ -322,10 +322,13 @@ class Solver:
 
         restart_base = 64
         luby_index = 1
+        # the budget counts this call's conflicts, not the solver's lifetime
+        # total: a solver reused under assumptions gets a full budget per call
+        start = self.conflicts
 
         while True:
             budget = restart_base * _luby(luby_index)
-            result = self._search(assumptions, budget, max_conflicts)
+            result = self._search(assumptions, budget, max_conflicts, start)
             if result is not None:
                 return result
             luby_index += 1
@@ -336,6 +339,7 @@ class Solver:
         assumptions: Sequence[int],
         restart_budget: int,
         max_conflicts: int | None,
+        start: int,
     ) -> bool | None:
         conflicts_here = 0
         while True:
@@ -343,7 +347,10 @@ class Solver:
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if max_conflicts is not None and self.conflicts > max_conflicts:
+                if (
+                    max_conflicts is not None
+                    and self.conflicts - start > max_conflicts
+                ):
                     raise ResourceLimitError(
                         f"SAT conflict budget ({max_conflicts}) exhausted"
                     )
@@ -367,19 +374,18 @@ class Solver:
                     return None  # restart
                 continue
 
-            # re-apply assumptions under the current trail
-            applied_all = True
-            for lit in assumptions:
+            # assumption i owns decision level i + 1 (left empty when it is
+            # already implied), so the next one to apply is found by index
+            # instead of rescanning the list after every propagation
+            level = len(self.trail_lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
                 value = self._value(lit)
-                if value is True:
-                    continue
                 if value is False:
                     return False  # assumptions conflict
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
-                applied_all = False
-                break
-            if not applied_all:
+                if value is None:
+                    self._enqueue(lit, None)
                 continue
 
             decision = self._decide()

@@ -11,7 +11,8 @@
 * :mod:`~repro.timing.chi` — the χ-function engine of McGeer et al. [9]
   (Section 2.3): characteristic functions of the input vectors that
   stabilize a node to a constant by a given time, computed recursively over
-  the primes of each node function.
+  the primes of each node function, as BDDs or as one incremental SAT
+  instance per (output, required time).
 * :mod:`~repro.timing.functional` — functional delay analysis built on χ
   functions: stability checks (BDD- or SAT-engine), true arrival times via
   search over candidate times, false-path detection.
@@ -34,7 +35,7 @@ from repro.timing.topological import (
     required_times,
     slacks,
 )
-from repro.timing.chi import ChiEngine, build_chi_network, candidate_times
+from repro.timing.chi import ChiEngine, ChiSat, build_chi_network, candidate_times
 from repro.timing.functional import (
     FunctionalTiming,
     has_false_paths,
@@ -72,6 +73,7 @@ __all__ = [
     "required_times",
     "slacks",
     "ChiEngine",
+    "ChiSat",
     "build_chi_network",
     "candidate_times",
     "FunctionalTiming",

@@ -13,14 +13,18 @@ where ``P_n^1``/``P_n^0`` are the primes of the node function and of its
 complement, with the terminal case ``χ_{x,v}^t = literal if t ≥ arr(x) else
 0`` at primary inputs.
 
-Two realizations are provided:
+Three realizations are provided:
 
 * :class:`ChiEngine` — BDD-based: χ functions are BDDs over the primary
   inputs.
+* :class:`ChiSat` — SAT-based: the recursion for one (output, T) is
+  unrolled once into CNF with the arrival times left open as selector
+  variables, so one solver answers stability under every arrival map;
+  the scalable engine of the paper's second approximate algorithm.
 * :func:`build_chi_network` — network-based: the χ recursion is *unrolled
-  into a Boolean network* whose nodes are (signal, value, time) triples;
-  stability checks then become SAT problems on that network, which is the
-  scalable engine of the paper's second approximate algorithm.
+  into a Boolean network* whose nodes are (signal, value, time) triples,
+  with the arrival times folded in; the readable view of the same
+  unrolling.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.verify import global_functions
 from repro.obs.trace import span
+from repro.sat import Cnf, Solver
 from repro.sop import Cover, Cube
 from repro.timing.delay import DelayModel, unit_delay
 
@@ -151,6 +156,128 @@ class ChiEngine:
         )
 
 
+class ChiSat:
+    """SAT stability oracle for one output and required time.
+
+    The recursion for ``χ_{output,1}^T ∨ χ_{output,0}^T`` is unrolled once,
+    straight into CNF.  Arrival times are left open: each leaf triple
+    ⟨x, v, t'⟩ gets a selector variable meaning "t' ≥ arr(x, v)", and
+    :meth:`stable_by` passes the selectors' values for one arrival map as
+    solver assumptions.  One :class:`~repro.sat.Solver`, built once, thus
+    answers every arrival map and keeps what it learnt between queries.
+
+    χ is positive in its children, and the only question asked is whether
+    the union can be 0, so one-sided (Plaisted-Greenbaum) clauses suffice:
+    ``n ∨ ¬c_1 ∨ … ∨ ¬c_k`` per prime cube, ``leaf ∨ ¬lit(x, v) ∨ ¬sel``
+    per leaf triple, and the units ``¬χ_1`` and ``¬χ_0``.  Structural
+    constants still fold (an empty prime cover is 0, a literal-free prime
+    is 1), and only the primary inputs the unrolling reaches get a
+    variable.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        output: str,
+        required_time: float,
+        delays: DelayModel | None = None,
+    ):
+        delays = delays or unit_delay()
+        self.output = output
+        self.required_time = float(required_time)
+        cnf = Cnf()
+        input_var: dict[str, int] = {}
+        #: per primary input, its leaf triples as (value, t', selector)
+        self._leaves: dict[str, list[tuple[int, float, int]]] = {}
+        # (signal, value, t) -> CNF variable, or a bool for a constant
+        memo: dict[tuple[str, int, float], int | bool] = {}
+
+        def chi(name: str, value: int, t: float) -> int | bool:
+            key = (name, value, t)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            node = network.node(name)
+            if node.is_input:
+                x = input_var.get(name)
+                if x is None:
+                    x = input_var[name] = cnf.new_var()
+                sel = cnf.new_var()
+                result = cnf.new_var()
+                cnf.add_clause_unchecked([result, -x if value else x, -sel])
+                self._leaves.setdefault(name, []).append((value, t, sel))
+            else:
+                onset_primes, offset_primes = node.primes()
+                primes = onset_primes if value else offset_primes
+                t_in = t - delays.of_value(name, value)
+                products: list[list[int]] = []
+                result = False
+                for cube in primes:
+                    children: list[int] = []
+                    for i, fanin in enumerate(node.fanins):
+                        phase = cube.literal(i)
+                        if phase is None:
+                            continue
+                        child = chi(fanin, phase, t_in)
+                        if child is False:
+                            break
+                        if child is not True and child not in children:
+                            children.append(child)
+                    else:
+                        if not children:
+                            result = True
+                            break
+                        products.append(children)
+                if result is not True and products:
+                    result = cnf.new_var()
+                    for children in products:
+                        cnf.add_clause_unchecked([result] + [-c for c in children])
+            memo[key] = result
+            return result
+
+        t = self.required_time
+        with span("chi.unroll", output=output, t=t) as sp:
+            roots = (chi(output, 1, t), chi(output, 0, t))
+            sp.set(variables=cnf.num_vars, clauses=cnf.num_clauses)
+        # the recursive closure refers to itself; break that cycle so the
+        # memo and the Cnf are freed on return, not at the next full GC
+        del chi
+        # variable ids are ints, so constants are told apart by identity
+        #: the verdict when χ_1 ∨ χ_0 folded to a constant, else None
+        self._constant: bool | None = None
+        self._solver: Solver | None = None
+        if any(root is True for root in roots):
+            self._constant = True
+        elif all(root is False for root in roots):
+            self._constant = False
+        else:
+            for root in roots:
+                if root is not False:
+                    cnf.add_clause_unchecked([-root])
+            self._solver = Solver(cnf)
+
+    def stable_by(
+        self,
+        arrivals: Mapping[str, object],
+        max_conflicts: int | None = None,
+    ) -> bool:
+        """Is the output stable by the required time for every input vector,
+        under ``arrivals`` (scalar or ``(arr0, arr1)`` per input; missing
+        inputs arrive at 0)?"""
+        with span(
+            "chi.stability_check", output=self.output, t=self.required_time,
+            engine="sat",
+        ):
+            if self._solver is None:
+                return self._constant
+            assumptions: list[int] = []
+            for name, leaves in self._leaves.items():
+                arr = _arrival_pair(arrivals.get(name, 0.0))
+                for value, t, sel in leaves:
+                    assumptions.append(sel if t >= arr[value] else -sel)
+            return not self._solver.solve(assumptions, max_conflicts=max_conflicts)
+
+
 def candidate_times(
     network: Network,
     delays: DelayModel | None = None,
@@ -208,7 +335,7 @@ def build_chi_network(
     arrivals: Mapping[str, float] | None = None,
     include_value: int | None = None,
 ) -> tuple[Network, str]:
-    """Unroll the χ recursion into a Boolean network (the SAT engine).
+    """Unroll the χ recursion into a Boolean network.
 
     The returned network has the same primary inputs as ``network`` and one
     output named ``__stable__`` computing ``χ_{output,1}^T ∨ χ_{output,0}^T``

@@ -8,7 +8,8 @@ onset/offset under XBD0, so equality holds iff the union covers every
 input vector).  Two interchangeable engines:
 
 * ``engine="bdd"`` — build the χ BDDs and test for tautology,
-* ``engine="sat"`` — unroll the χ network and test unsatisfiability of its
+* ``engine="sat"`` — unroll the χ recursion into CNF
+  (:class:`~repro.timing.chi.ChiSat`) and test unsatisfiability of its
   complement with the CDCL solver, following [9].
 
 On top of the stability primitive: *true arrival times* by monotone search
@@ -24,8 +25,7 @@ from typing import Literal, Mapping
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.obs.trace import span
-from repro.sat import CircuitEncoder, Solver
-from repro.timing.chi import ChiEngine, build_chi_network, candidate_times
+from repro.timing.chi import ChiEngine, ChiSat, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import arrival_times as topo_arrival_times
 
@@ -64,21 +64,14 @@ class FunctionalTiming:
         input vector, under the XBD0 model?"""
         if output not in self.network.outputs:
             raise TimingError(f"{output!r} is not a primary output")
-        with span(
-            "chi.stability_check", output=output, t=float(t), engine=self.engine
-        ):
-            if self.engine == "bdd":
-                if self._chi is None:
-                    self._chi = ChiEngine(self.network, self.delays, self.arrivals)
-                return self._chi.is_stable_by(output, t)
-            chi_net, root = build_chi_network(
-                self.network, output, t, self.delays, self.arrivals
+        if self.engine == "sat":
+            return ChiSat(self.network, output, t, self.delays).stable_by(
+                self.arrivals, self.max_conflicts
             )
-            encoder = CircuitEncoder()
-            mapping = encoder.encode(chi_net)
-            encoder.cnf.add_clause([-mapping[root]])
-            solver = Solver(encoder.cnf)
-            return not solver.solve(max_conflicts=self.max_conflicts)
+        with span("chi.stability_check", output=output, t=float(t), engine="bdd"):
+            if self._chi is None:
+                self._chi = ChiEngine(self.network, self.delays, self.arrivals)
+            return self._chi.is_stable_by(output, t)
 
     def all_stable_by(self, required: Mapping[str, float] | float) -> bool:
         """Every primary output stable by its required time?"""

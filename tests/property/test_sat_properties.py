@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.network import Network
-from repro.sat import Cnf, CircuitEncoder, miter, solve
+from repro.sat import Cnf, CircuitEncoder, Solver, miter, solve
 
 NVARS = 6
 
@@ -57,6 +57,26 @@ class TestSolverAgainstBruteForce:
         if model is not None:
             for clause in cnf.clauses:
                 assert any(model[abs(l)] == (l > 0) for l in clause)
+
+    @given(
+        formulas(max_clauses=30),
+        st.lists(
+            st.lists(st.integers(-NVARS, NVARS).filter(bool), max_size=4),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reused_solver_under_assumptions(self, clauses, queries):
+        cnf = Cnf()
+        for _ in range(NVARS):
+            cnf.new_var()
+        for c in clauses:
+            cnf.add_clause(c)
+        solver = Solver(cnf)
+        for assumptions in queries:
+            expected = brute_sat(NVARS, clauses + [[a] for a in assumptions])
+            assert solver.solve(assumptions) == expected
 
 
 @st.composite

@@ -81,6 +81,33 @@ class TestEngines:
         assert res_bdd.best == res_sat.best
         assert res_bdd.nontrivial == res_sat.nontrivial
 
+    def test_sat_climb_builds_one_solver_per_output(self, monkeypatch):
+        from repro.sat.solver import Solver
+
+        built, solved = [0], [0]
+        init, solve = Solver.__init__, Solver.solve
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        def counting_solve(self, *args, **kwargs):
+            solved[0] += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "__init__", counting_init)
+        monkeypatch.setattr(Solver, "solve", counting_solve)
+        net = carry_skip_adder(3, 3)
+        res_sat = Approx2Analysis(net, output_required=0.0, engine="sat").run()
+        monkeypatch.undo()
+        res_bdd = Approx2Analysis(net, output_required=0.0, engine="bdd").run()
+
+        # every stability check is a query on its output's one solver
+        assert built[0] <= len(net.outputs)
+        assert solved[0] > built[0]
+        assert res_sat.maximal == res_bdd.maximal
+        assert res_sat.checks == res_bdd.checks
+
 
 class TestEnumeration:
     def test_enumerate_returns_incomparable_maxima(self):

@@ -123,6 +123,26 @@ class TestSolverBasics:
         with pytest.raises(ResourceLimitError):
             solve(cnf, max_conflicts=3)
 
+    def test_conflict_budget_counts_each_call_from_its_start(self):
+        import random
+
+        rng = random.Random(4)
+        cnf = Cnf()
+        for _ in range(50):
+            cnf.new_var()
+        for _ in range(205):
+            cnf.add_clause(
+                [rng.choice((1, -1)) * rng.randint(1, 50) for _ in range(3)]
+            )
+        solver = Solver(cnf)
+        assert solver.solve()
+        spent = solver.conflicts
+        assert spent > 17
+        # the query needs fewer than 17 conflicts of its own; the 27 the
+        # first call spent must not count against its budget
+        assert not solver.solve([-3, 4, -5], max_conflicts=17)
+        assert solver.conflicts > spent
+
 
 def _php(pigeons: int, holes: int) -> Cnf:
     """The pigeonhole principle formula (UNSAT when pigeons > holes)."""
