@@ -3,10 +3,11 @@ detection, and subcircuit timing flexibility.
 
 * :mod:`~repro.core.leaves` — enumeration of the leaf χ variables (one per
   ⟨primary input, value, time⟩ triple needed by the backward recursion) and
-  of the candidate required-time lattice R = R_1 × … × R_n.
-* :mod:`~repro.core.symbolic` — the χ recursion with *unknown* leaves,
-  parameterized by a leaf-construction callback (fresh BDD variables for
-  the exact algorithm; α/β parameter products for approximate approach 1).
+  of the candidate required-time lattice R = R_1 × … × R_n.  Each analysis
+  builds one :class:`~repro.timing.chi.ChiUnrolling` and reads both this
+  inventory and its χ functions from it; only the leaves differ (fresh BDD
+  variables for the exact algorithm, α/β parameter products for
+  approximate approach 1, selectors for approximate approach 2).
 * :mod:`~repro.core.exact` — Section 4.1: the Boolean relation
   F(X, χ_X) = 1, its per-minterm rows, minimal-element extraction (latest
   required times), and compatible-function selection (Boolean unification).

@@ -28,12 +28,13 @@ from repro.bdd.minimal import is_monotone_increasing
 from repro.bdd.reorder import sift
 from repro.core.leaves import LeafTimes, enumerate_leaf_times
 from repro.core.required_time import INF, RequiredTimeProfile
-from repro.core.symbolic import SymbolicChi
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.network.verify import global_functions
 from repro.obs.trace import span
+from repro.timing.chi import ChiBdd, ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
+from repro.timing.topological import required_map
 
 
 @dataclass
@@ -75,10 +76,12 @@ class Approx1Analysis:
     ):
         self.network = network
         self.delays = delays or unit_delay()
-        self.output_required = output_required
+        self.output_required = required_map(network, output_required)
+        #: the one χ unrolling both the inventory and F(α, β) read
+        self.unrolling = ChiUnrolling(network, self.delays)
         with span("approx1.enumerate_leaves", circuit=network.name):
             self.leaves: LeafTimes = enumerate_leaf_times(
-                network, self.delays, output_required, max_leaves=max_leaves
+                self.unrolling, self.output_required, max_leaves=max_leaves
             )
         self.manager = manager or create_manager(backend, max_nodes=max_nodes)
         self.reorder = reorder
@@ -138,20 +141,13 @@ class Approx1Analysis:
                         [literal] + [m.var(chain[j]) for j in range(p - i + 1)]
                     )
 
-        def leaf_fn(name: str, value: int, t: float) -> BddNode:
-            try:
-                return leaf_cache[(name, value, t)]
-            except KeyError:
-                raise TimingError(
-                    f"χ recursion visited unenumerated leaf ({name},{value},{t})"
-                ) from None
-
-        chi = SymbolicChi(net, m, leaf_fn, self.delays)
-
-        if isinstance(self.output_required, Mapping):
-            req = {o: float(t) for o, t in self.output_required.items()}
-        else:
-            req = {o: float(self.output_required) for o in net.outputs}
+        # the inventory visited every triple the χ fold can reach
+        chi = ChiBdd(
+            self.unrolling,
+            m,
+            lambda name, value, t: leaf_cache[(name, value, t)],
+        )
+        req = self.output_required
 
         with span("approx1.global_functions"):
             onsets = global_functions(net, m)

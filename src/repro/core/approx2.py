@@ -32,9 +32,10 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
-from repro.timing.chi import ChiSat
+from repro.timing.chi import ChiSat, ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
+from repro.timing.topological import required_map
 
 
 def _finite_sum(r: Mapping) -> float:
@@ -131,7 +132,7 @@ class Approx2Analysis:
     ):
         self.network = network
         self.delays = delays or unit_delay()
-        self.output_required = output_required
+        self.required = required_map(network, output_required)
         self.engine = engine
         self.enumerate_all = enumerate_all
         self.max_solutions = max_solutions
@@ -144,9 +145,11 @@ class Approx2Analysis:
         #: what lets the method see e.g. the Figure 4 looseness
         self.separate_values = separate_values
 
+        #: the one χ unrolling the inventory and every SAT oracle read
+        self.unrolling = ChiUnrolling(network, self.delays)
         with span("approx2.enumerate_leaves", circuit=network.name):
             self.leaves: LeafTimes = enumerate_leaf_times(
-                network, self.delays, output_required, max_leaves=max_leaves
+                self.unrolling, self.required, max_leaves=max_leaves
             )
         if clustering < 1:
             raise TimingError("clustering stride must be >= 1")
@@ -165,11 +168,6 @@ class Approx2Analysis:
                 pi: _cluster_axis(self.leaves.merged(pi) or [0.0], clustering)
                 for pi in network.inputs
             }
-        if isinstance(output_required, Mapping):
-            self.required = {o: float(t) for o, t in output_required.items()}
-        else:
-            self.required = {o: float(output_required) for o in network.outputs}
-
         # per-output primary-input support: a candidate vector only needs
         # re-validation at the outputs whose cone contains a changed input,
         # and a validation verdict depends only on the arrival times of the
@@ -271,9 +269,7 @@ class Approx2Analysis:
             if self.engine == "sat":
                 oracle = self._oracles.get(po)
                 if oracle is None:
-                    oracle = self._oracles[po] = ChiSat(
-                        self.network, po, t, self.delays
-                    )
+                    oracle = self._oracles[po] = ChiSat(self.unrolling, po, t)
                 verdict = oracle.stable_by(arrivals)
             else:
                 verdict = ft.output_stable_by(po, t)

@@ -4,8 +4,8 @@ Construction:
 
 1. enumerate the leaf χ variables (one fresh BDD variable per
    ⟨input, value, time⟩ triple),
-2. build χ_{z,1}^T and χ_{z,0}^T over those unknowns with the symbolic χ
-   recursion,
+2. build χ_{z,1}^T and χ_{z,0}^T over those unknowns from the same χ
+   unrolling that enumerated them,
 3. constrain them to equal the output onset/offset, conjoined with the
    subset-ordering chains  ∅ ⊆ χ_{x,v}^{t_1} ⊆ … ⊆ χ_{x,v}^{t_k} ⊆ literal,
 4. the result F(X, χ_X) is the characteristic function of a Boolean
@@ -21,18 +21,19 @@ Boolean-unification solution).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.bdd import BddManager, BddNode, create_manager, minimal_elements
 from repro.bdd.reorder import sift
 from repro.core.leaves import LeafTimes, enumerate_leaf_times
 from repro.core.required_time import INF, RequiredTimeProfile
-from repro.core.symbolic import SymbolicChi
 from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.verify import global_functions
 from repro.obs.trace import span
+from repro.timing.chi import ChiBdd, ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
+from repro.timing.topological import required_map
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,17 @@ class ExactAnalysis:
             backend = options.backend
         self.network = network
         self.delays = delays or unit_delay()
-        self.output_required = output_required
+        self.output_required = required_map(network, output_required)
         #: footnote 3 extension: per-output don't-care sets (a
         #: :class:`repro.sop.Cover` over the primary inputs, in
         #: ``network.inputs`` column order).  On don't-care vectors no
         #: stability is demanded at all, which enlarges the relation.
         self.output_dc = dict(output_dc or {})
+        #: the one χ unrolling both the inventory and the relation read
+        self.unrolling = ChiUnrolling(network, self.delays)
         with span("exact.enumerate_leaves", circuit=network.name):
             self.leaves: LeafTimes = enumerate_leaf_times(
-                network, self.delays, output_required, max_leaves=max_leaves
+                self.unrolling, self.output_required, max_leaves=max_leaves
             )
         # ``reorder`` mirrors the paper's setup ("the exact algorithm was
         # run with dynamic variable reordering being set"): sifting kicks
@@ -161,21 +164,13 @@ class ExactAnalysis:
                     leaf_vars.append(lv)
                     leaf_index[(pi, value, t)] = lv
 
-        def leaf_fn(name: str, value: int, t: float) -> BddNode:
-            lv = leaf_index.get((name, value, t))
-            if lv is None:
-                raise TimingError(
-                    f"χ recursion visited unenumerated leaf ({name},{value},{t})"
-                )
-            return m.var(lv.var_name)
-
-        chi = SymbolicChi(net, m, leaf_fn, self.delays)
-
-        # required times per output
-        if isinstance(self.output_required, Mapping):
-            req = {o: float(t) for o, t in self.output_required.items()}
-        else:
-            req = {o: float(self.output_required) for o in net.outputs}
+        # the inventory visited every triple the χ fold can reach
+        chi = ChiBdd(
+            self.unrolling,
+            m,
+            lambda name, value, t: m.var(leaf_index[(name, value, t)].var_name),
+        )
+        req = self.output_required
 
         with span("exact.global_functions"):
             onsets = global_functions(net, m)

@@ -20,19 +20,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.bdd import BddManager, BddNode, create_manager, minimal_elements
 from repro.core.leaves import enumerate_leaf_times
 from repro.core.required_time import INF, RequiredTimeProfile
-from repro.core.symbolic import SymbolicChi
 from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.transform import fanin_network, fanout_network
 from repro.network.verify import global_functions
-from repro.timing.chi import ChiEngine, candidate_times
+from repro.timing.chi import (
+    ChiBdd,
+    ChiEngine,
+    ChiUnrolling,
+    candidate_times,
+    known_arrival_leaf,
+)
 from repro.timing.delay import DelayModel, unit_delay
+from repro.timing.topological import required_map
 
 
 @dataclass
@@ -187,9 +193,10 @@ def _boundary_relation(
     """
     nfo = fanout_network(network, boundary)
     known_inputs = [pi for pi in nfo.inputs if pi not in boundary]
-    arrivals = {pi: float((input_arrivals or {}).get(pi, 0.0)) for pi in known_inputs}
+    req = required_map(nfo, output_required)
 
-    leaves = enumerate_leaf_times(nfo, delays, output_required)
+    unrolling = ChiUnrolling(nfo, delays)
+    leaves = enumerate_leaf_times(unrolling, req)
     m = manager or create_manager(max_nodes=max_nodes)
     for pi in nfo.inputs:
         if not m.has_var(pi):
@@ -206,22 +213,17 @@ def _boundary_relation(
                 leaf_index[(v, value, t)] = name
                 leaf_order.append((v, value, t, name))
 
-    def leaf_fn(name: str, value: int, t: float) -> BddNode:
-        if name in arrivals:  # known-arrival primary input
-            if t >= arrivals[name]:
-                return m.var(name) if value else m.nvar(name)
-            return m.false
-        key = (name, value, t)
-        if key not in leaf_index:
-            raise TimingError(f"unenumerated boundary leaf {key}")
-        return m.var(leaf_index[key])
+    known = known_arrival_leaf(
+        m, {pi: (input_arrivals or {}).get(pi, 0.0) for pi in known_inputs}
+    )
 
-    chi = SymbolicChi(nfo, m, leaf_fn, delays)
+    def leaf(name: str, value: int, t: float) -> BddNode:
+        var = leaf_index.get((name, value, t))
+        if var is None:  # a primary input with a known arrival time
+            return known(name, value, t)
+        return m.var(var)
 
-    if isinstance(output_required, Mapping):
-        req = {o: float(t) for o, t in output_required.items()}
-    else:
-        req = {o: float(output_required) for o in nfo.outputs}
+    chi = ChiBdd(unrolling, m, leaf)
 
     onsets = global_functions(nfo, m)
     relation = m.true

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.errors import ResourceLimitError, TimingError
-from repro.network.network import Network
-from repro.timing.delay import DelayModel, unit_delay
+from repro.errors import ResourceLimitError
+from repro.timing.chi import MISSING, ChiUnrolling
+from repro.timing.topological import required_map
 
 
 @dataclass
@@ -50,33 +50,27 @@ class LeafTimes:
 
 
 def enumerate_leaf_times(
-    network: Network,
-    delays: DelayModel | None = None,
+    unrolling: ChiUnrolling,
     output_required: Mapping[str, float] | float = 0.0,
     max_leaves: int = 100_000,
 ) -> LeafTimes:
-    """Walk the χ recursion symbolically and record every leaf reference.
+    """Walk the unrolled χ recursion from every output and record every
+    leaf reference.
 
     ``output_required`` is a scalar applied to every primary output or a
-    per-output mapping (the paper's experiments use 0 everywhere).
-    ``max_leaves`` bounds the traversal — reconvergence can multiply the
-    number of ⟨node, value, time⟩ triples, which is exactly the blowup the
-    paper reports for the exact method on large circuits.
+    per-output mapping (the paper's experiments use 0 everywhere), checked
+    by :func:`~repro.timing.required_map`.  Every child of every cube is
+    visited, also after a constant-0 child, so the leaf axes are those of
+    the full recursion.  ``max_leaves`` bounds the traversal —
+    reconvergence can multiply the number of ⟨node, value, time⟩ triples,
+    which is exactly the blowup the paper reports for the exact method on
+    large circuits.
     """
-    delays = delays or unit_delay()
-    if isinstance(output_required, Mapping):
-        req = {o: float(t) for o, t in output_required.items()}
-        missing = set(network.outputs) - set(req)
-        if missing:
-            raise TimingError(f"missing required times for outputs {sorted(missing)}")
-    else:
-        req = {o: float(output_required) for o in network.outputs}
-
-    result = LeafTimes()
-    input_set = set(network.inputs)
+    table = unrolling.table
+    expand = unrolling.expand
     visited: set[tuple[str, int, float]] = set()
     stack: list[tuple[str, int, float]] = []
-    for out, t in req.items():
+    for out, t in required_map(unrolling.network, output_required).items():
         stack.append((out, 1, t))
         stack.append((out, 0, t))
 
@@ -92,23 +86,18 @@ def enumerate_leaf_times(
             raise ResourceLimitError(
                 f"leaf enumeration exceeded {max_leaves} (node, value, time) triples"
             )
-        name, value, t = key
-        if name in input_set:
-            bucket = ones if value else zeros
-            bucket.setdefault(name, set()).add(t)
+        cubes = table.get(key, MISSING)
+        if cubes is MISSING:
+            cubes = expand(key)
+        if cubes is None:
+            name, value, t = key
+            (ones if value else zeros).setdefault(name, set()).add(t)
             continue
-        node = network.node(name)
-        onset_primes, offset_primes = node.primes()
-        primes = onset_primes if value else offset_primes
-        t_in = t - delays.of_value(name, value)
-        for cube in primes:
-            for i, fanin in enumerate(node.fanins):
-                phase = cube.literal(i)
-                if phase is None:
-                    continue
-                stack.append((fanin, phase, t_in))
+        for cube in cubes:
+            stack.extend(cube)
 
-    result.for_one = {n: sorted(ts) for n, ts in ones.items()}
-    result.for_zero = {n: sorted(ts) for n, ts in zeros.items()}
-    result.visited = visited
-    return result
+    return LeafTimes(
+        for_one={n: sorted(ts) for n, ts in ones.items()},
+        for_zero={n: sorted(ts) for n, ts in zeros.items()},
+        visited=visited,
+    )

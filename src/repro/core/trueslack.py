@@ -29,6 +29,7 @@ from repro.core.leaves import enumerate_leaf_times
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.network.transform import fanin_network, fanout_network
+from repro.timing.chi import ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
 from repro.timing.topological import arrival_times, required_times
@@ -111,15 +112,14 @@ def _true_required(
     else:
         req = {o: float(output_required) for o in nfo.outputs}
 
-    leaves = enumerate_leaf_times(nfo, delays, req)
+    leaves = enumerate_leaf_times(ChiUnrolling(nfo, delays), req)
     axis = leaves.merged(node)
     if not axis:
         return math.inf  # the node never constrains any output
 
+    # scalar or (arr0, arr1) entries, passed through to the χ engines
     base_arrivals = {
-        pi: float((input_arrivals or {}).get(pi, 0.0))
-        for pi in nfo.inputs
-        if pi != node
+        pi: (input_arrivals or {}).get(pi, 0.0) for pi in nfo.inputs if pi != node
     }
 
     def valid(r: float) -> bool:

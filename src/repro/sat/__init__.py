@@ -1,4 +1,4 @@
-"""A self-contained CNF SAT solver and circuit-to-CNF encoders.
+"""A self-contained CNF SAT solver.
 
 The paper's second approximate algorithm validates candidate required-time
 vectors with a *SAT-based* functional timing analyzer (McGeer, Saldanha,
@@ -10,13 +10,14 @@ satisfiable").  This package supplies that engine:
 * :class:`~repro.sat.cnf.Cnf` — clause database with DIMACS I/O,
 * :class:`~repro.sat.solver.Solver` — CDCL (conflict-driven clause
   learning) with two-watched-literal propagation, VSIDS-style branching,
-  Luby restarts and phase saving,
-* :mod:`~repro.sat.encode` — Tseitin encoding of Boolean networks and the
-  miter construction for difference checking.
+  Luby restarts and phase saving.
+
+The χ recursion reaches the solver as CNF through
+:class:`repro.timing.chi.ChiSat`, which emits it straight from the
+unrolled recursion.
 """
 
 from repro.sat.cnf import Cnf
 from repro.sat.solver import Solver, solve
-from repro.sat.encode import CircuitEncoder, miter
 
-__all__ = ["Cnf", "Solver", "solve", "CircuitEncoder", "miter"]
+__all__ = ["Cnf", "Solver", "solve"]

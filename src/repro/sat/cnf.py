@@ -7,7 +7,7 @@ a negative integer denotes the negated variable.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from repro.errors import SatError
 
@@ -73,9 +73,9 @@ class Cnf:
         """Append a clause known to be well-formed.
 
         Skips the duplicate/tautology/bounds screening of
-        :meth:`add_clause`; for generators (e.g. the Tseitin encoder) whose
-        clauses are duplicate-free by construction.  The list is stored
-        as-is, not copied.
+        :meth:`add_clause`; for generators (e.g.
+        :class:`repro.timing.chi.ChiSat`) whose clauses are duplicate-free
+        by construction.  The list is stored as-is, not copied.
         """
         self.clauses.append(clause)
 

@@ -10,9 +10,10 @@
   propagation.
 * :mod:`~repro.timing.chi` — the χ-function engine of McGeer et al. [9]
   (Section 2.3): characteristic functions of the input vectors that
-  stabilize a node to a constant by a given time, computed recursively over
-  the primes of each node function, as BDDs or as one incremental SAT
-  instance per (output, required time).
+  stabilize a node to a constant by a given time.  The recursion over the
+  primes of each node function is unrolled once and read as BDDs (with a
+  leaf callback) or as one incremental SAT instance per (output, required
+  time).
 * :mod:`~repro.timing.functional` — functional delay analysis built on χ
   functions: stability checks (BDD- or SAT-engine), true arrival times via
   search over candidate times, false-path detection.
@@ -35,7 +36,14 @@ from repro.timing.topological import (
     required_times,
     slacks,
 )
-from repro.timing.chi import ChiEngine, ChiSat, build_chi_network, candidate_times
+from repro.timing.chi import (
+    ChiBdd,
+    ChiEngine,
+    ChiSat,
+    ChiUnrolling,
+    candidate_times,
+    known_arrival_leaf,
+)
 from repro.timing.functional import (
     FunctionalTiming,
     has_false_paths,
@@ -72,9 +80,11 @@ __all__ = [
     "required_time_bounds",
     "required_times",
     "slacks",
+    "ChiUnrolling",
+    "ChiBdd",
     "ChiEngine",
     "ChiSat",
-    "build_chi_network",
+    "known_arrival_leaf",
     "candidate_times",
     "FunctionalTiming",
     "stable_by",

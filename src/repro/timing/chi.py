@@ -13,23 +13,27 @@ where ``P_n^1``/``P_n^0`` are the primes of the node function and of its
 complement, with the terminal case ``χ_{x,v}^t = literal if t ≥ arr(x) else
 0`` at primary inputs.
 
-Three realizations are provided:
+The recursion is unrolled once, by :class:`ChiUnrolling`, into a table
+from each (signal, value, time) triple to its prime cubes of child
+triples.  The table does not depend on arrival times; the paper's
+algorithms differ only in what stands at the leaves, so three readers of
+one unrolling serve them all:
 
-* :class:`ChiEngine` — BDD-based: χ functions are BDDs over the primary
-  inputs.
-* :class:`ChiSat` — SAT-based: the recursion for one (output, T) is
-  unrolled once into CNF with the arrival times left open as selector
-  variables, so one solver answers stability under every arrival map;
-  the scalable engine of the paper's second approximate algorithm.
-* :func:`build_chi_network` — network-based: the χ recursion is *unrolled
-  into a Boolean network* whose nodes are (signal, value, time) triples,
-  with the arrival times folded in; the readable view of the same
-  unrolling.
+* :class:`ChiBdd` — χ as BDDs over the primary inputs, with every leaf
+  triple supplied by a callback: fresh variables for the exact relation
+  (§4.1), α/β products for approximate approach 1 (§4.2), and known
+  arrival times (:func:`known_arrival_leaf`) in :class:`ChiEngine`.
+* :class:`ChiSat` — the recursion for one (output, T) emitted as CNF with
+  the arrival times left open as selector variables, so one solver answers
+  stability under every arrival map; the scalable engine of the paper's
+  second approximate algorithm (§4.3).
+* :func:`repro.core.leaves.enumerate_leaf_times` — the leaf inventory:
+  every leaf triple the recursion references from the outputs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.bdd import BddManager, BddNode, create_manager
 from repro.errors import ResourceLimitError, TimingError
@@ -37,8 +41,14 @@ from repro.network.network import Network
 from repro.network.verify import global_functions
 from repro.obs.trace import span
 from repro.sat import Cnf, Solver
-from repro.sop import Cover, Cube
 from repro.timing.delay import DelayModel, unit_delay
+
+#: one (signal, value, time) triple of the recursion
+Triple = tuple[str, int, float]
+#: the leaf callback of :class:`ChiBdd`: the BDD of one primary-input triple
+LeafFn = Callable[[str, int, float], BddNode]
+#: the ``table.get`` default that tells an unexpanded triple from an input
+MISSING = object()
 
 
 def _arrival_pair(t: object) -> tuple[float, float]:
@@ -50,89 +60,165 @@ def _arrival_pair(t: object) -> tuple[float, float]:
     return (float(t), float(t))
 
 
-class ChiEngine:
-    """BDD-based χ functions for a network with *known* arrival times."""
+def _triple(name: str, value: int, t: float) -> Triple:
+    """The memo key of χ_{name,value}^t; rejects a value other than 0/1."""
+    if value not in (0, 1):
+        raise TimingError(f"value must be 0 or 1, got {value}")
+    return (name, value, float(t))
+
+
+class ChiUnrolling:
+    """The χ recursion of one network under one delay model, unrolled on
+    demand.
+
+    ``table`` maps every expanded (signal, value, t) triple to its prime
+    cubes, in prime order, each cube a tuple of child triples in fanin
+    order.  A primary input maps to ``None``.  An empty tuple of cubes is
+    constant 0 (an empty prime cover); an empty cube is a literal-free
+    prime, so that triple is constant 1.  The table holds no arrival time,
+    so every reader and every arrival map can share it.
+
+    :meth:`expand` is the only code that reads ``node.primes()`` for χ.
+    Readers look a triple up with ``table.get(key, MISSING)`` and call
+    :meth:`expand` only on a miss, which keeps a reader's cost per triple
+    at one dict probe.
+    """
+
+    def __init__(self, network: Network, delays: DelayModel | None = None):
+        self.network = network
+        self.delays = delays or unit_delay()
+        self.table: dict[Triple, tuple[tuple[Triple, ...], ...] | None] = {}
+
+    def expand(self, key: Triple) -> tuple[tuple[Triple, ...], ...] | None:
+        """Compute, store and return the cubes of one triple."""
+        name, value, t = key
+        node = self.network.node(name)
+        if node.is_input:
+            cubes = None
+        else:
+            onset_primes, offset_primes = node.primes()
+            t_in = t - self.delays.of_value(name, value)
+            fanins = node.fanins
+            built = []
+            for cube in onset_primes if value else offset_primes:
+                children = []
+                for i, fanin in enumerate(fanins):
+                    phase = cube.literal(i)
+                    if phase is not None:
+                        children.append((fanin, phase, t_in))
+                built.append(tuple(children))
+            cubes = tuple(built)
+        self.table[key] = cubes
+        return cubes
+
+
+class ChiBdd:
+    """χ functions as BDDs, read from an unrolling.
+
+    ``leaf(name, value, t)`` supplies the BDD of each primary-input triple
+    the recursion reaches.  A product stops at its first constant-0 child,
+    and the sum stops at the first product that is constant 1.
+    """
+
+    def __init__(
+        self, unrolling: ChiUnrolling, manager: BddManager, leaf: LeafFn
+    ):
+        self.unrolling = unrolling
+        self.manager = manager
+        self.leaf = leaf
+        self._memo: dict[Triple, BddNode] = {}
+
+    def chi(self, name: str, value: int, t: float) -> BddNode:
+        """The BDD of χ_{name,value}^t."""
+        return self._build(_triple(name, value, t))
+
+    def _build(self, key: Triple) -> BddNode:
+        """Memoized fold of the unrolling below ``key``."""
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        cubes = self.unrolling.table.get(key, MISSING)
+        if cubes is MISSING:
+            cubes = self.unrolling.expand(key)
+        if cubes is None:
+            result = self.leaf(*key)
+        else:
+            m = self.manager
+            terms: list[BddNode] = []
+            saturated = False
+            for cube in cubes:
+                operands: list[BddNode] = []
+                for child in cube:
+                    operand = self._build(child)
+                    if operand.is_false:
+                        break
+                    operands.append(operand)
+                else:
+                    term = m.conjoin(operands)
+                    if term.is_true:
+                        saturated = True
+                        break
+                    if not term.is_false:
+                        terms.append(term)
+            result = m.true if saturated else m.disjoin(terms)
+        self._memo[key] = result
+        return result
+
+
+def known_arrival_leaf(
+    manager: BddManager, arrivals: Mapping[str, object]
+) -> LeafFn:
+    """The leaf of functional timing: input x's literal once t reaches its
+    arrival time for that value, constant 0 before.
+
+    ``arrivals`` gives each input a scalar or an ``(arr_for_0,
+    arr_for_1)`` pair; the paper's exact and approx-1 algorithms
+    distinguish the two values.
+    """
+    pairs = {name: _arrival_pair(t) for name, t in arrivals.items()}
+
+    def leaf(name: str, value: int, t: float) -> BddNode:
+        if t >= pairs[name][value]:
+            return manager.var(name) if value else manager.nvar(name)
+        return manager.false
+
+    return leaf
+
+
+class ChiEngine(ChiBdd):
+    """BDD-based χ functions for a network with *known* arrival times: a
+    :class:`ChiBdd` over its own unrolling with :func:`known_arrival_leaf`
+    (inputs missing from ``arrivals`` arrive at 0)."""
 
     def __init__(
         self,
         network: Network,
         delays: DelayModel | None = None,
-        arrivals: Mapping[str, float] | None = None,
+        arrivals: Mapping[str, object] | None = None,
         manager: BddManager | None = None,
     ):
-        self.network = network
-        self.delays = delays or unit_delay()
-        # per-input arrival times, distinguished by value: (arr_for_0,
-        # arr_for_1).  Callers may pass a scalar (same for both values) or a
-        # 2-tuple; the paper's exact/approx-1 algorithms distinguish the two.
-        self.arrivals: dict[str, tuple[float, float]] = {
-            pi: (0.0, 0.0) for pi in network.inputs
-        }
-        if arrivals:
-            for name, t in arrivals.items():
-                if name not in self.arrivals:
-                    raise TimingError(f"arrival time for non-input {name!r}")
-                self.arrivals[name] = _arrival_pair(t)
-        self.manager = manager or create_manager()
+        known: dict[str, object] = {pi: 0.0 for pi in network.inputs}
+        for name, t in (arrivals or {}).items():
+            if name not in known:
+                raise TimingError(f"arrival time for non-input {name!r}")
+            known[name] = t
+        manager = manager or create_manager()
         for pi in network.inputs:
-            if not self.manager.has_var(pi):
-                self.manager.add_var(pi)
-        self._memo: dict[tuple[str, int, float], BddNode] = {}
+            if not manager.has_var(pi):
+                manager.add_var(pi)
+        super().__init__(
+            ChiUnrolling(network, delays), manager, known_arrival_leaf(manager, known)
+        )
 
     def chi(self, name: str, value: int, t: float) -> BddNode:
         """The BDD of χ_{name,value}^t."""
-        if value not in (0, 1):
-            raise TimingError(f"value must be 0 or 1, got {value}")
-        key = (name, value, float(t))
-        if key in self._memo:  # memo hits skip the span entirely
-            return self._memo[key]
-        # one span per top-level query; the recursion below goes uninstrumented
-        with span("chi.build", node=name, value=value, t=float(t)):
-            return self._chi(name, value, float(t))
-
-    def _chi(self, name: str, value: int, t: float) -> BddNode:
-        """Memoized χ recursion body behind :meth:`chi`."""
-        key = (name, value, t)
+        key = _triple(name, value, t)
         cached = self._memo.get(key)
-        if cached is not None:
+        if cached is not None:  # memo hits skip the span entirely
             return cached
-
-        node = self.network.node(name)
-        m = self.manager
-        if node.is_input:
-            if t >= self.arrivals[name][value]:
-                result = m.var(name) if value else m.nvar(name)
-            else:
-                result = m.false
-        else:
-            onset_primes, offset_primes = node.primes()
-            primes = onset_primes if value else offset_primes
-            t_in = t - self.delays.of_value(name, value)
-            terms: list[BddNode] = []
-            saturated = False
-            for cube in primes:
-                operands: list[BddNode] = []
-                dead = False
-                for i, fanin in enumerate(node.fanins):
-                    phase = cube.literal(i)
-                    if phase is None:
-                        continue
-                    child = self._chi(fanin, phase, t_in)
-                    if child.is_false:
-                        dead = True
-                        break
-                    operands.append(child)
-                if dead:
-                    continue
-                term = m.conjoin(operands)
-                if term.is_true:
-                    saturated = True
-                    break
-                if not term.is_false:
-                    terms.append(term)
-            result = m.true if saturated else m.disjoin(terms)
-        self._memo[key] = result
-        return result
+        # one span per top-level query; the recursion below goes uninstrumented
+        with span("chi.build", node=name, value=value, t=key[2]):
+            return self._build(key)
 
     def stable(self, name: str, t: float) -> BddNode:
         """χ̃ — the set of input vectors stabilizing ``name`` by ``t``."""
@@ -148,7 +234,7 @@ class ChiEngine:
         Holds by construction under the XBD0 model (Lemma 3's boundary
         case); exposed for the test suite.
         """
-        funcs = global_functions(self.network, self.manager)
+        funcs = global_functions(self.unrolling.network, self.manager)
         on = funcs[name]
         return (
             self.chi(name, 1, t).implies(on).is_true
@@ -159,46 +245,44 @@ class ChiEngine:
 class ChiSat:
     """SAT stability oracle for one output and required time.
 
-    The recursion for ``χ_{output,1}^T ∨ χ_{output,0}^T`` is unrolled once,
-    straight into CNF.  Arrival times are left open: each leaf triple
-    ⟨x, v, t'⟩ gets a selector variable meaning "t' ≥ arr(x, v)", and
-    :meth:`stable_by` passes the selectors' values for one arrival map as
-    solver assumptions.  One :class:`~repro.sat.Solver`, built once, thus
-    answers every arrival map and keeps what it learnt between queries.
+    The recursion for ``χ_{output,1}^T ∨ χ_{output,0}^T`` is read once from
+    the unrolling, straight into CNF.  Arrival times are left open: each
+    leaf triple ⟨x, v, t'⟩ gets a selector variable meaning "t' ≥ arr(x,
+    v)", and :meth:`stable_by` passes the selectors' values for one arrival
+    map as solver assumptions.  One :class:`~repro.sat.Solver`, built once,
+    thus answers every arrival map and keeps what it learnt between
+    queries.
 
     χ is positive in its children, and the only question asked is whether
     the union can be 0, so one-sided (Plaisted-Greenbaum) clauses suffice:
     ``n ∨ ¬c_1 ∨ … ∨ ¬c_k`` per prime cube, ``leaf ∨ ¬lit(x, v) ∨ ¬sel``
     per leaf triple, and the units ``¬χ_1`` and ``¬χ_0``.  Structural
     constants still fold (an empty prime cover is 0, a literal-free prime
-    is 1), and only the primary inputs the unrolling reaches get a
-    variable.
+    is 1), repeated children merge, and only the primary inputs the
+    unrolling reaches get a variable.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        output: str,
-        required_time: float,
-        delays: DelayModel | None = None,
-    ):
-        delays = delays or unit_delay()
+    def __init__(self, unrolling: ChiUnrolling, output: str, required_time: float):
         self.output = output
         self.required_time = float(required_time)
+        table = unrolling.table
+        expand = unrolling.expand
         cnf = Cnf()
         input_var: dict[str, int] = {}
         #: per primary input, its leaf triples as (value, t', selector)
         self._leaves: dict[str, list[tuple[int, float, int]]] = {}
         # (signal, value, t) -> CNF variable, or a bool for a constant
-        memo: dict[tuple[str, int, float], int | bool] = {}
+        memo: dict[Triple, int | bool] = {}
 
-        def chi(name: str, value: int, t: float) -> int | bool:
-            key = (name, value, t)
+        def chi(key: Triple) -> int | bool:
             hit = memo.get(key)
             if hit is not None:
                 return hit
-            node = network.node(name)
-            if node.is_input:
+            cubes = table.get(key, MISSING)
+            if cubes is MISSING:
+                cubes = expand(key)
+            if cubes is None:
+                name, value, t = key
                 x = input_var.get(name)
                 if x is None:
                     x = input_var[name] = cnf.new_var()
@@ -207,18 +291,12 @@ class ChiSat:
                 cnf.add_clause_unchecked([result, -x if value else x, -sel])
                 self._leaves.setdefault(name, []).append((value, t, sel))
             else:
-                onset_primes, offset_primes = node.primes()
-                primes = onset_primes if value else offset_primes
-                t_in = t - delays.of_value(name, value)
                 products: list[list[int]] = []
                 result = False
-                for cube in primes:
+                for cube in cubes:
                     children: list[int] = []
-                    for i, fanin in enumerate(node.fanins):
-                        phase = cube.literal(i)
-                        if phase is None:
-                            continue
-                        child = chi(fanin, phase, t_in)
+                    for child_key in cube:
+                        child = chi(child_key)
                         if child is False:
                             break
                         if child is not True and child not in children:
@@ -237,7 +315,7 @@ class ChiSat:
 
         t = self.required_time
         with span("chi.unroll", output=output, t=t) as sp:
-            roots = (chi(output, 1, t), chi(output, 0, t))
+            roots = (chi((output, 1, t)), chi((output, 0, t)))
             sp.set(variables=cnf.num_vars, clauses=cnf.num_clauses)
         # the recursive closure refers to itself; break that cycle so the
         # memo and the Cnf are freed on return, not at the next full GC
@@ -325,117 +403,3 @@ def _candidate_times_into(
                 f"node {name!r} has more than {max_per_node} candidate times"
             )
         times[name] = sorted(merged)
-
-
-def build_chi_network(
-    network: Network,
-    output: str,
-    required_time: float,
-    delays: DelayModel | None = None,
-    arrivals: Mapping[str, float] | None = None,
-    include_value: int | None = None,
-) -> tuple[Network, str]:
-    """Unroll the χ recursion into a Boolean network.
-
-    The returned network has the same primary inputs as ``network`` and one
-    output named ``__stable__`` computing ``χ_{output,1}^T ∨ χ_{output,0}^T``
-    (or just one χ when ``include_value`` is 0 or 1).  A SAT check that
-    ``__stable__`` can be 0 decides whether some input vector fails to
-    stabilize the output by ``required_time``.
-    """
-    delays = delays or unit_delay()
-    arrivals = arrivals or {}
-    arr = {pi: _arrival_pair(arrivals.get(pi, 0.0)) for pi in network.inputs}
-
-    chi_net = Network(f"chi_{network.name}")
-    for pi in network.inputs:
-        chi_net.add_input(pi)
-
-    created: dict[tuple[str, int, float], str] = {}
-    const_of: dict[str, int] = {}  # labels folded to constants
-
-    def make_const(label: str, value: int) -> str:
-        chi_net.add_node(label, [], Cover.one(0) if value else Cover.zero(0))
-        const_of[label] = value
-        return label
-
-    def chi_name(name: str, value: int, t: float) -> str:
-        key = (name, value, t)
-        if key in created:
-            return created[key]
-        label = f"chi[{name},{value},{t:g}]"
-        node = network.node(name)
-        if node.is_input:
-            if t >= arr[name][value]:
-                chi_net.add_gate(label, "BUF" if value else "NOT", [name])
-            else:
-                make_const(label, 0)
-        else:
-            onset_primes, offset_primes = node.primes()
-            primes = onset_primes if value else offset_primes
-            t_in = t - delays.of_value(name, value)
-            fanin_labels: list[str] = []
-            fanin_index: dict[str, int] = {}
-            cubes: list[Cube] = []
-            is_const_one = False
-            for cube in primes:
-                # resolve children, folding constants: a 0-child kills the
-                # product, a 1-child drops out of it
-                lits: list[str] = []
-                dead = False
-                seen_children: set[str] = set()
-                for i, fanin in enumerate(node.fanins):
-                    phase = cube.literal(i)
-                    if phase is None:
-                        continue
-                    child = chi_name(fanin, phase, t_in)
-                    cval = const_of.get(child)
-                    if cval == 0:
-                        dead = True
-                        break
-                    if cval == 1 or child in seen_children:
-                        continue
-                    seen_children.add(child)
-                    lits.append(child)
-                if dead:
-                    continue
-                if not lits:
-                    is_const_one = True
-                    break
-                cubes.append((lits,))
-            if is_const_one:
-                make_const(label, 1)
-            elif not cubes:
-                make_const(label, 0)
-            else:
-                for (lits,) in cubes:
-                    for child in lits:
-                        if child not in fanin_index:
-                            fanin_index[child] = len(fanin_labels)
-                            fanin_labels.append(child)
-                width = len(fanin_labels)
-                cover = Cover(
-                    width,
-                    [
-                        Cube.from_literals(
-                            width, {fanin_index[c]: 1 for c in lits}
-                        )
-                        for (lits,) in cubes
-                    ],
-                )
-                chi_net.add_node(label, fanin_labels, cover)
-        created[key] = label
-        return label
-
-    t = float(required_time)
-    with span("chi.unroll", output=output, t=t) as sp:
-        if include_value is None:
-            one = chi_name(output, 1, t)
-            zero = chi_name(output, 0, t)
-            chi_net.add_gate("__stable__", "OR", [one, zero])
-        else:
-            target = chi_name(output, include_value, t)
-            chi_net.add_gate("__stable__", "BUF", [target])
-        sp.set(chi_nodes=len(chi_net.nodes))
-    chi_net.set_outputs(["__stable__"])
-    return chi_net, "__stable__"

@@ -8,7 +8,7 @@ onset/offset under XBD0, so equality holds iff the union covers every
 input vector).  Two interchangeable engines:
 
 * ``engine="bdd"`` — build the χ BDDs and test for tautology,
-* ``engine="sat"`` — unroll the χ recursion into CNF
+* ``engine="sat"`` — emit the unrolled χ recursion as CNF
   (:class:`~repro.timing.chi.ChiSat`) and test unsatisfiability of its
   complement with the CDCL solver, following [9].
 
@@ -19,15 +19,17 @@ strictly below the topological delay).
 
 from __future__ import annotations
 
-import bisect
 from typing import Literal, Mapping
 
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.obs.trace import span
-from repro.timing.chi import ChiEngine, ChiSat, candidate_times
+from repro.timing.chi import ChiEngine, ChiSat, ChiUnrolling, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
-from repro.timing.topological import arrival_times as topo_arrival_times
+from repro.timing.topological import (
+    arrival_times as topo_arrival_times,
+    required_map,
+)
 
 Engine = Literal["bdd", "sat"]
 
@@ -55,6 +57,11 @@ class FunctionalTiming:
         self.engine = engine
         self.max_conflicts = max_conflicts
         self._chi: ChiEngine | None = None
+        # the SAT engine's one unrolling: every ChiSat built here (one per
+        # stability check, e.g. along true_arrival's search) reads it
+        self._unrolling = (
+            ChiUnrolling(network, self.delays) if engine == "sat" else None
+        )
 
     # ------------------------------------------------------------------
     # stability primitive
@@ -65,7 +72,7 @@ class FunctionalTiming:
         if output not in self.network.outputs:
             raise TimingError(f"{output!r} is not a primary output")
         if self.engine == "sat":
-            return ChiSat(self.network, output, t, self.delays).stable_by(
+            return ChiSat(self._unrolling, output, t).stable_by(
                 self.arrivals, self.max_conflicts
             )
         with span("chi.stability_check", output=output, t=float(t), engine="bdd"):
@@ -75,13 +82,7 @@ class FunctionalTiming:
 
     def all_stable_by(self, required: Mapping[str, float] | float) -> bool:
         """Every primary output stable by its required time?"""
-        if isinstance(required, Mapping):
-            req = dict(required)
-            missing = set(self.network.outputs) - set(req)
-            if missing:
-                raise TimingError(f"missing required times for {sorted(missing)}")
-        else:
-            req = {o: float(required) for o in self.network.outputs}
+        req = required_map(self.network, required)
         return all(self.output_stable_by(o, t) for o, t in req.items())
 
     # ------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""The SAT stability oracle against both reference views of χ.
+"""The SAT stability oracle against the network view and the BDD view.
 
 One :class:`~repro.timing.chi.ChiSat` per (output, T) answers a random
 sequence of arrival maps on the same solver.  Every verdict must equal
-an exhaustive evaluation of the unrolled χ network and the BDD engine's
-tautology check, so learnt clauses carried from one query to the next
-can never leak into another query's answer.
+the ternary simulation of the network itself
+(:func:`~repro.timing.ternary.oracle_stable_by`, which uses no primes and
+no χ) and the BDD engine's tautology check, so learnt clauses carried
+from one query to the next can never leak into another query's answer.
 """
-
-import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.timing import ChiEngine, ChiSat, build_chi_network, candidate_times
+from repro.timing import (
+    ChiEngine,
+    ChiSat,
+    ChiUnrolling,
+    candidate_times,
+    oracle_stable_by,
+)
 from repro.timing.delay import DelayModel
 from tests.strategies import small_networks
 
@@ -26,14 +31,6 @@ def arrival_maps(inputs):
     return st.fixed_dictionaries({pi: entry for pi in inputs})
 
 
-def exhaustively_stable(net, out, t, delays, arrivals) -> bool:
-    chi_net, root = build_chi_network(net, out, t, delays, arrivals)
-    return all(
-        chi_net.output_values(dict(zip(net.inputs, bits)))[root]
-        for bits in itertools.product((0, 1), repeat=len(net.inputs))
-    )
-
-
 @given(net=small_networks(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_reused_oracle_matches_network_and_bdd_views(net, data):
@@ -42,11 +39,11 @@ def test_reused_oracle_matches_network_and_bdd_views(net, data):
     t = data.draw(
         st.sampled_from(candidate_times(net, delays)[out]), label="T"
     )
-    oracle = ChiSat(net, out, t, delays)
+    oracle = ChiSat(ChiUnrolling(net, delays), out, t)
     maps = data.draw(
         st.lists(arrival_maps(net.inputs), min_size=1, max_size=6), label="maps"
     )
     for arrivals in maps:
         verdict = oracle.stable_by(arrivals)
-        assert verdict == exhaustively_stable(net, out, t, delays, arrivals)
+        assert verdict == oracle_stable_by(net, out, t, delays, arrivals)
         assert verdict == ChiEngine(net, delays, arrivals).is_stable_by(out, t)

@@ -1,11 +1,10 @@
-"""Property-based tests for the SAT solver and circuit encoding."""
+"""Property-based tests for the SAT solver."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.network import Network
-from repro.sat import Cnf, CircuitEncoder, Solver, miter, solve
+from repro.sat import Cnf, Solver, solve
 
 NVARS = 6
 
@@ -77,52 +76,3 @@ class TestSolverAgainstBruteForce:
         for assumptions in queries:
             expected = brute_sat(NVARS, clauses + [[a] for a in assumptions])
             assert solver.solve(assumptions) == expected
-
-
-@st.composite
-def random_networks(draw, n_inputs=4, max_gates=8):
-    net = Network("hyp")
-    signals = []
-    for i in range(n_inputs):
-        net.add_input(f"x{i}")
-        signals.append(f"x{i}")
-    n = draw(st.integers(1, max_gates))
-    for g in range(n):
-        kind = draw(st.sampled_from(["AND", "OR", "NAND", "NOR", "XOR", "NOT"]))
-        if kind == "NOT":
-            fanins = [draw(st.sampled_from(signals))]
-        else:
-            k = draw(st.integers(2, min(3, len(signals))))
-            fanins = draw(
-                st.lists(
-                    st.sampled_from(signals), min_size=k, max_size=k, unique=True
-                )
-            )
-        name = f"g{g}"
-        net.add_gate(name, kind, fanins)
-        signals.append(name)
-    net.set_outputs([signals[-1]])
-    return net
-
-
-class TestEncodingAgainstSimulation:
-    @given(random_networks())
-    @settings(max_examples=40, deadline=None)
-    def test_tseitin_agrees_with_simulation(self, net):
-        encoder = CircuitEncoder()
-        mapping = encoder.encode(net)
-        out = net.outputs[0]
-        for bits in itertools.product((0, 1), repeat=len(net.inputs)):
-            env = dict(zip(net.inputs, bits))
-            assumptions = [
-                mapping[pi] if v else -mapping[pi] for pi, v in env.items()
-            ]
-            model = solve(encoder.cnf, assumptions)
-            assert model is not None, "consistent circuit must be satisfiable"
-            assert model[mapping[out]] == net.output_values(env)[out]
-
-    @given(random_networks())
-    @settings(max_examples=30, deadline=None)
-    def test_self_miter_unsat(self, net):
-        cnf, _ = miter(net, net.copy())
-        assert solve(cnf) is None

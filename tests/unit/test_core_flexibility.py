@@ -7,11 +7,14 @@ import pytest
 from repro.circuits import figure4, figure6, figure6_extended
 from repro.core.flexibility import (
     arrival_flexibility,
+    coupled_flexibility,
     required_flexibility,
     subcircuit_timing,
 )
 from repro.core.required_time import INF
+from repro.core.trueslack import true_slack
 from repro.errors import ResourceLimitError
+from repro.timing import arrival_times
 
 
 class TestArrivalFlexibilityPaperTable:
@@ -112,3 +115,33 @@ class TestSubcircuitTiming:
         # y = 1 requires stability by 3 (it *is* the output)
         profiles = spec.required.per_vector[(1,)]
         assert any(p.of("y")[1] == 3.0 for p in profiles)
+
+
+def _topological_delay(net, input_arrivals) -> float:
+    arrivals = arrival_times(net, None, input_arrivals)
+    return max(arrivals[o] for o in net.outputs)
+
+
+#: figure 6 cut at gate a: x1 is a known-arrival input of N_FO
+KNOWN_ARRIVAL_ENTRY_POINTS = {
+    "required_flexibility": lambda net, ia: required_flexibility(
+        net, ["a"], input_arrivals=ia, output_required=2.0
+    ),
+    "coupled_flexibility": lambda net, ia: coupled_flexibility(
+        net, ["x2", "x3"], ["a"], input_arrivals=ia, output_required=2.0
+    ),
+    "subcircuit_timing": lambda net, ia: subcircuit_timing(
+        net, ["x2", "x3"], ["a"], input_arrivals=ia, output_required=2.0
+    ),
+    # a feasible requirement, as the CLI's slack command picks it
+    "true_slack": lambda net, ia: true_slack(
+        net, "a", input_arrivals=ia, output_required=_topological_delay(net, ia)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(KNOWN_ARRIVAL_ENTRY_POINTS))
+def test_arrival_pair_matches_its_scalar(entry):
+    run = KNOWN_ARRIVAL_ENTRY_POINTS[entry]
+    assert run(figure6(), {"x1": (1.0, 1.0)}) == run(figure6(), {"x1": 1.0})
+

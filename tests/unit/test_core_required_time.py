@@ -3,6 +3,12 @@
 import pytest
 
 from repro.circuits import c17, carry_skip_adder, figure4, parity_tree
+from repro.core import (
+    Approx1Analysis,
+    Approx2Analysis,
+    ExactAnalysis,
+    enumerate_leaf_times,
+)
 from repro.core.required_time import (
     INF,
     RequiredTimeProfile,
@@ -11,6 +17,7 @@ from repro.core.required_time import (
     topological_input_required_times,
 )
 from repro.errors import TimingError
+from repro.timing import ChiUnrolling, FunctionalTiming
 
 
 class TestBaseline:
@@ -99,6 +106,26 @@ class TestFacade:
             analyze_required_times(
                 c17(), method, output_required={"G22": 1, "G23": 1, "G10": -5}
             )
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["enumerate_leaf_times", "exact", "approx1", "approx2", "all_stable_by"],
+    )
+    def test_direct_entry_points_reject_an_internal_node(self, entry):
+        # the analysis classes apply the facade's boundary rule themselves
+        net = c17()
+        required = {"G22": 1, "G23": 1, "G10": -5}
+        run = {
+            "enumerate_leaf_times": lambda: enumerate_leaf_times(
+                ChiUnrolling(net), required
+            ),
+            "exact": lambda: ExactAnalysis(net, output_required=required).relation(),
+            "approx1": lambda: Approx1Analysis(net, output_required=required).run(),
+            "approx2": lambda: Approx2Analysis(net, output_required=required).run(),
+            "all_stable_by": lambda: FunctionalTiming(net).all_stable_by(required),
+        }[entry]
+        with pytest.raises(TimingError, match="G10"):
+            run()
 
     def test_table_row_shape(self):
         report = analyze_required_times(parity_tree(4), "approx1", output_required=0.0)

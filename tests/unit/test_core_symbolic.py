@@ -1,11 +1,23 @@
-"""Unit tests for the symbolic χ engine (unknown leaves)."""
+"""Unit tests for the χ BDD builder with symbolic leaves.
+
+The exact and approx-1 analyses of :mod:`repro.core` read χ through
+:class:`repro.timing.chi.ChiBdd`, with the leaf of every primary-input
+triple supplied by a callback.
+"""
 
 import pytest
 
 from repro.bdd import BddManager
 from repro.circuits import figure4
-from repro.core.symbolic import SymbolicChi, known_arrival_leaf_fn
 from repro.errors import TimingError
+from repro.timing import ChiBdd, ChiUnrolling, known_arrival_leaf
+
+
+def _manager(net) -> BddManager:
+    m = BddManager()
+    for pi in net.inputs:
+        m.add_var(pi)
+    return m
 
 
 class TestSymbolicChi:
@@ -15,10 +27,10 @@ class TestSymbolicChi:
         net = figure4()
         concrete = ChiEngine(net)
 
-        m = BddManager()
-        for pi in net.inputs:
-            m.add_var(pi)
-        sym = SymbolicChi(net, m, known_arrival_leaf_fn(m, {"x1": 0.0, "x2": 0.0}))
+        m = _manager(net)
+        sym = ChiBdd(
+            ChiUnrolling(net), m, known_arrival_leaf(m, {"x1": 0.0, "x2": 0.0})
+        )
         for t in [0.0, 1.0, 2.0]:
             for v in (0, 1):
                 a = sym.chi("z", v, t)
@@ -30,9 +42,7 @@ class TestSymbolicChi:
 
     def test_custom_leaf_fn_invoked_per_triple(self):
         net = figure4()
-        m = BddManager()
-        for pi in net.inputs:
-            m.add_var(pi)
+        m = _manager(net)
         calls = []
 
         def leaf(name, value, t):
@@ -40,25 +50,24 @@ class TestSymbolicChi:
             # non-constant leaves so the recursion cannot short-circuit
             return m.var(name) if value else m.nvar(name)
 
-        sym = SymbolicChi(net, m, leaf)
+        sym = ChiBdd(ChiUnrolling(net), m, leaf)
         result = sym.chi("z", 1, 2.0)
         assert result == (m.var("x1") & m.var("x2"))
         assert ("x1", 1, 0.0) in calls
         assert ("x2", 1, 1.0) in calls
         assert ("x2", 1, 0.0) in calls
+        assert len(calls) == len(set(calls))  # once per triple
 
     def test_memoization(self):
         net = figure4()
-        m = BddManager()
-        for pi in net.inputs:
-            m.add_var(pi)
+        m = _manager(net)
         counter = {"n": 0}
 
         def leaf(name, value, t):
             counter["n"] += 1
             return m.var(name) if value else m.nvar(name)
 
-        sym = SymbolicChi(net, m, leaf)
+        sym = ChiBdd(ChiUnrolling(net), m, leaf)
         sym.chi("z", 1, 2.0)
         first = counter["n"]
         sym.chi("z", 1, 2.0)
@@ -66,10 +75,8 @@ class TestSymbolicChi:
 
     def test_bad_value_rejected(self):
         net = figure4()
-        m = BddManager()
-        for pi in net.inputs:
-            m.add_var(pi)
-        sym = SymbolicChi(net, m, lambda *a: m.false)
+        m = _manager(net)
+        sym = ChiBdd(ChiUnrolling(net), m, lambda *a: m.false)
         with pytest.raises(TimingError):
             sym.chi("z", 3, 1.0)
 
@@ -78,16 +85,9 @@ class TestKnownArrivalLeafFn:
     def test_scalar_and_pair(self):
         m = BddManager()
         m.add_var("x")
-        leaf = known_arrival_leaf_fn(m, {"x": (2.0, 5.0)})
+        leaf = known_arrival_leaf(m, {"x": (2.0, 5.0)})
         # value 0 arrives at 2, value 1 at 5
         assert leaf("x", 0, 2.0) == m.nvar("x")
         assert leaf("x", 0, 1.0).is_false
         assert leaf("x", 1, 4.0).is_false
         assert leaf("x", 1, 5.0) == m.var("x")
-
-    def test_unknown_input_rejected(self):
-        m = BddManager()
-        m.add_var("x")
-        leaf = known_arrival_leaf_fn(m, {"x": 0.0})
-        with pytest.raises(TimingError):
-            leaf("ghost", 1, 0.0)

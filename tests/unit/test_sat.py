@@ -1,12 +1,11 @@
-"""Unit tests for the CNF database, CDCL solver, and circuit encoding."""
+"""Unit tests for the CNF database and the CDCL solver."""
 
 import itertools
 
 import pytest
 
 from repro.errors import ResourceLimitError, SatError
-from repro.network import Network, parse_bench
-from repro.sat import Cnf, CircuitEncoder, Solver, miter, solve
+from repro.sat import Cnf, Solver, solve
 
 
 class TestCnf:
@@ -213,134 +212,6 @@ class TestLuby:
         # restart; this instance needs several restarts with base 64
         cnf = _php(7, 6)
         assert solve(cnf) is None
-
-
-class TestCircuitEncoding:
-    def _xor_net(self):
-        net = Network("x")
-        net.add_input("a")
-        net.add_input("b")
-        net.add_gate("f", "XOR", ["a", "b"])
-        net.set_outputs(["f"])
-        return net
-
-    def test_encode_consistency(self):
-        net = self._xor_net()
-        encoder = CircuitEncoder()
-        mapping = encoder.encode(net)
-        cnf = encoder.cnf
-        for va, vb in itertools.product((0, 1), repeat=2):
-            assumptions = [
-                mapping["a"] if va else -mapping["a"],
-                mapping["b"] if vb else -mapping["b"],
-            ]
-            model = solve(cnf, assumptions)
-            assert model is not None
-            assert model[mapping["f"]] == (va != vb)
-
-    def test_constant_nodes(self):
-        from repro.sop import Cover
-
-        net = Network("const")
-        net.add_input("a")
-        net.add_node("zero", ["a"], Cover.zero(1))
-        net.add_node("one", ["a"], Cover.one(1))
-        net.set_outputs(["zero", "one"])
-        encoder = CircuitEncoder()
-        mapping = encoder.encode(net)
-        model = solve(encoder.cnf)
-        assert model[mapping["zero"]] is False
-        assert model[mapping["one"]] is True
-
-    def test_double_encode_rejected(self):
-        net = self._xor_net()
-        encoder = CircuitEncoder()
-        encoder.encode(net)
-        with pytest.raises(SatError):
-            encoder.encode(net)
-
-    def test_prefix_allows_sharing_inputs(self):
-        net = self._xor_net()
-        encoder = CircuitEncoder()
-        m1 = encoder.encode(net, prefix="A/")
-        m2 = encoder.encode(net, prefix="B/")
-        assert m1["a"] == m2["a"]
-        assert m1["f"] != m2["f"]
-
-
-class TestMiter:
-    def test_equivalent_networks_unsat(self):
-        net = Network("n1")
-        net.add_input("a")
-        net.add_input("b")
-        net.add_gate("f", "AND", ["a", "b"])
-        net.set_outputs(["f"])
-
-        other = Network("n2")
-        other.add_input("a")
-        other.add_input("b")
-        other.add_gate("na", "NOT", ["a"])
-        other.add_gate("nb", "NOT", ["b"])
-        other.add_gate("nf", "OR", ["na", "nb"])
-        other.add_gate("f", "NOT", ["nf"])
-        other.set_outputs(["f"])
-
-        cnf, _ = miter(net, other)
-        assert solve(cnf) is None
-
-    def test_different_networks_sat_with_witness(self):
-        a = Network("n1")
-        a.add_input("x")
-        a.add_input("y")
-        a.add_gate("f", "AND", ["x", "y"])
-        a.set_outputs(["f"])
-
-        b = Network("n2")
-        b.add_input("x")
-        b.add_input("y")
-        b.add_gate("f", "OR", ["x", "y"])
-        b.set_outputs(["f"])
-
-        cnf, input_map = miter(a, b)
-        model = solve(cnf)
-        assert model is not None
-        env = {pi: model.get(var, False) for pi, var in input_map.items()}
-        va = a.output_values(env)["f"]
-        vb = b.output_values(env)["f"]
-        assert va != vb
-
-    def test_c17_self_miter_unsat(self):
-        c17 = parse_bench(
-            """
-INPUT(G1)
-INPUT(G2)
-INPUT(G3)
-INPUT(G6)
-INPUT(G7)
-OUTPUT(G22)
-OUTPUT(G23)
-G10 = NAND(G1, G3)
-G11 = NAND(G3, G6)
-G16 = NAND(G2, G11)
-G19 = NAND(G11, G7)
-G22 = NAND(G10, G16)
-G23 = NAND(G16, G19)
-"""
-        )
-        cnf, _ = miter(c17, c17.copy())
-        assert solve(cnf) is None
-
-    def test_interface_mismatch_rejected(self):
-        a = Network("n1")
-        a.add_input("x")
-        a.add_gate("f", "BUF", ["x"])
-        a.set_outputs(["f"])
-        b = Network("n2")
-        b.add_input("y")
-        b.add_gate("f", "BUF", ["y"])
-        b.set_outputs(["f"])
-        with pytest.raises(SatError):
-            miter(a, b)
 
 
 class TestEnumeration:

@@ -1,7 +1,5 @@
 """Unit tests for χ functions and functional (false-path aware) timing."""
 
-import itertools
-
 import pytest
 
 from repro.errors import TimingError
@@ -9,7 +7,6 @@ from repro.network import Network
 from repro.timing import (
     ChiEngine,
     FunctionalTiming,
-    build_chi_network,
     candidate_times,
     has_false_paths,
     stable_by,
@@ -180,35 +177,3 @@ class TestStability:
     def test_true_arrival_times_wrapper(self):
         times = true_arrival_times(fig4())
         assert times == {"z": 2.0}
-
-
-class TestChiNetwork:
-    def test_chi_network_matches_bdd_engine(self):
-        net = carry_skip_block()
-        eng = ChiEngine(net)
-        for t in [2.0, 3.0, 4.0, 5.0]:
-            chi_net, root = build_chi_network(net, "cout", t)
-            stable_bdd = eng.stable("cout", t)
-            mgr = eng.manager
-            # evaluate the unrolled network on every input vector and
-            # compare with the BDD
-            for bits in itertools.product((0, 1), repeat=len(net.inputs)):
-                env = dict(zip(net.inputs, bits))
-                net_val = chi_net.output_values(env)[root]
-                bdd_val = mgr.evaluate(stable_bdd, env)
-                assert net_val == bdd_val, (t, env)
-
-    def test_chi_network_single_value(self):
-        net = fig4()
-        chi_net, root = build_chi_network(net, "z", 2.0, include_value=1)
-        # χ_{z,1}^2 = x1 x2
-        for v1, v2 in itertools.product((0, 1), repeat=2):
-            assert chi_net.output_values({"x1": v1, "x2": v2})[root] == bool(
-                v1 and v2
-            )
-
-    def test_chi_network_before_arrival_is_constant_zero(self):
-        net = fig4()
-        chi_net, root = build_chi_network(net, "z", 0.5, include_value=1)
-        for v1, v2 in itertools.product((0, 1), repeat=2):
-            assert chi_net.output_values({"x1": v1, "x2": v2})[root] is False

@@ -108,9 +108,10 @@ class TestRequiredTimesWithRiseFall:
 
     def test_exact_leaf_times_split(self):
         from repro.core.leaves import enumerate_leaf_times
+        from repro.timing import ChiUnrolling
 
         net = buffer_chain()
         dm = DelayModel(default=1.0, overrides={"g": (3.0, 1.0)})
-        leaves = enumerate_leaf_times(net, dm, output_required=5.0)
+        leaves = enumerate_leaf_times(ChiUnrolling(net, dm), output_required=5.0)
         assert leaves.for_one["a"] == [2.0]
         assert leaves.for_zero["a"] == [4.0]
