@@ -14,7 +14,9 @@ exists.  ``--status`` only reports what a lazy load would do (compiler,
 artifact path, availability) without building.  Exit code is 0 when the
 kernel is (or would be) available, 1 otherwise — except with
 ``--allow-fallback``, where a missing toolchain is reported but exits 0,
-mirroring the runtime's graceful degradation to the object kernel.
+mirroring the runtime's graceful degradation to the object kernel.  A
+build also fails when the runtime still cannot use the kernel
+(``native_status()``, e.g. without numpy).
 
 Environment: ``REPRO_NATIVE_CC`` overrides the compiler,
 ``REPRO_NATIVE_CACHE`` the artifact directory.
@@ -39,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--allow-fallback",
         action="store_true",
-        help="exit 0 even when no kernel can be built (array fallback)",
+        help="exit 0 even when no kernel can be built (object-kernel fallback)",
     )
     args = parser.parse_args(argv)
 
@@ -64,6 +66,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"load      : FAILED ({reason})", file=sys.stderr)
         return 0 if args.allow_fallback else 1
     print(f"build     : ok (abi {lib.nat_abi_version()})")
+    from repro.bdd.native_backend import native_status
+
+    available, reason = native_status()
+    if not available:
+        print(f"runtime   : FAILED ({reason})", file=sys.stderr)
+        return 0 if args.allow_fallback else 1
     return 0
 
 

@@ -60,7 +60,10 @@ import logging
 import threading
 import weakref
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # the kernel's store upkeep needs numpy; see _load
+    np = None
 
 from repro.bdd._native.build import load_kernel
 from repro.bdd.manager import (
@@ -257,9 +260,17 @@ def _fill_unique_tables(unique: list[_UniqueTable], ids, var, low, high) -> None
         ut.size = count
 
 
+def _load():
+    """``(lib, reason)``: the loaded kernel, or ``None`` and why not.  A
+    missing numpy makes the kernel unavailable like a missing compiler."""
+    if np is None:
+        return None, "numpy is not installed"
+    return load_kernel()
+
+
 def native_status() -> tuple[bool, str | None]:
     """``(available, fallback_reason)`` of the native kernel."""
-    lib, reason = load_kernel()
+    lib, reason = _load()
     return lib is not None, reason
 
 
@@ -272,8 +283,9 @@ def _note_fallback(reason: str) -> None:
 
 def create_native_manager(**kwargs):
     """A :class:`NativeBddManager`, or the object-kernel fallback when
-    the kernel cannot be built/loaded (missing compiler, failed compile)."""
-    lib, reason = load_kernel()
+    the kernel cannot be built/loaded (missing compiler or numpy, failed
+    compile)."""
+    lib, reason = _load()
     if lib is None:
         _note_fallback(reason or "unknown")
         return BddManager(**kwargs)
@@ -397,7 +409,7 @@ class NativeBddManager(BddManager):
         _lib=None,
     ):
         if _lib is None:
-            _lib, reason = load_kernel()
+            _lib, reason = _load()
             if _lib is None:
                 raise BddError(f"native BDD kernel unavailable: {reason}")
         super().__init__(auto_reorder, reorder_threshold, max_nodes, cache_bound)

@@ -30,7 +30,7 @@ from repro.core.required_time import (
     analyze_required_times,
     topological_input_required_times,
 )
-from repro.core.exact import ExactAnalysis, ExactOptions, ExactRelation
+from repro.core.exact import ExactAnalysis, ExactRelation
 from repro.core.approx1 import Approx1Analysis, Approx1Result
 from repro.core.approx2 import Approx2Analysis, Approx2Result, LatticeClimbTrace
 from repro.core.trueslack import SlackReport, true_slack, true_slacks
@@ -55,7 +55,6 @@ __all__ = [
     "analyze_required_times",
     "topological_input_required_times",
     "ExactAnalysis",
-    "ExactOptions",
     "ExactRelation",
     "Approx1Analysis",
     "Approx1Result",

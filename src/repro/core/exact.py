@@ -3,7 +3,8 @@
 Construction:
 
 1. enumerate the leaf χ variables (one fresh BDD variable per
-   ⟨input, value, time⟩ triple),
+   ⟨input, value, time⟩ triple; inputs with a known arrival time keep
+   concrete leaves instead),
 2. build χ_{z,1}^T and χ_{z,0}^T over those unknowns from the same χ
    unrolling that enumerated them,
 3. constrain them to equal the output onset/offset, conjoined with the
@@ -14,8 +15,8 @@ Construction:
 
 Queries on the relation reproduce the paper's Section 4.1 tables: full
 per-minterm rows, the minimal-element (latest required time) sub-relation,
-the required-time tuples, and a compatible function assignment (one
-Boolean-unification solution).
+the required-time profiles of any slice of the relation, and a compatible
+function assignment (one Boolean-unification solution).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.verify import global_functions
 from repro.obs.trace import span
-from repro.timing.chi import ChiBdd, ChiUnrolling
+from repro.timing.chi import ChiBdd, ChiUnrolling, known_arrival_leaf
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import required_map
 
@@ -46,45 +47,22 @@ class LeafVar:
     var_name: str
 
 
-@dataclass(frozen=True)
-class ExactOptions:
-    """Resource/search options of the exact relation construction.
+class ExactAnalysis:
+    """Builds the exact Boolean relation for one network.
+
+    ``known_arrivals`` names the primary inputs whose arrival times are
+    given (a scalar or an ``(arr_for_0, arr_for_1)`` pair each): they keep
+    concrete χ leaves (:func:`~repro.timing.chi.known_arrival_leaf`) and
+    get no leaf variable and no ordering chain.  Section 5.2 runs this on
+    N_FO, where only the subcircuit outputs are unknown.
 
     ``reorder`` mirrors the paper's §6 setup ("the exact algorithm was run
     with dynamic variable reordering being set"): automatic sifting while
     the relation is built, plus a final :func:`repro.bdd.reorder.sift`
-    pass over the finished relation.  Exposed on the CLI as
-    ``repro required --reorder``.
+    pass over the finished relation.  ``backend`` selects the BDD kernel
+    (``object`` / ``native``; ``None`` defers to ``REPRO_BDD_BACKEND``,
+    see docs/BDD_BACKENDS.md).
     """
-
-    max_nodes: int | None = None
-    reorder: bool = False
-    max_leaves: int = 50_000
-    #: BDD kernel selection (``object`` / ``native``);
-    #: ``None`` defers to the ``REPRO_BDD_BACKEND`` environment default.
-    #: See :mod:`repro.bdd.api` and docs/BDD_BACKENDS.md.
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        # unknown names fail at option-construction time with the same
-        # BddError message every other entry point (CLI, eco, serve)
-        # raises — not later, deep inside manager creation
-        if self.backend is not None:
-            from repro.bdd.api import resolve_backend
-
-            resolve_backend(self.backend)
-
-    def kwargs(self) -> dict:
-        return {
-            "max_nodes": self.max_nodes,
-            "reorder": self.reorder,
-            "max_leaves": self.max_leaves,
-            "backend": self.backend,
-        }
-
-
-class ExactAnalysis:
-    """Builds the exact Boolean relation for one network."""
 
     def __init__(
         self,
@@ -96,17 +74,16 @@ class ExactAnalysis:
         reorder: bool = False,
         max_leaves: int = 50_000,
         output_dc: Mapping[str, object] | None = None,
-        options: ExactOptions | None = None,
         backend: str | None = None,
+        known_arrivals: Mapping[str, object] | None = None,
     ):
-        if options is not None:
-            max_nodes = options.max_nodes
-            reorder = options.reorder
-            max_leaves = options.max_leaves
-            backend = options.backend
         self.network = network
         self.delays = delays or unit_delay()
         self.output_required = required_map(network, output_required)
+        self.known_arrivals = dict(known_arrivals or {})
+        stray = set(self.known_arrivals) - set(network.inputs)
+        if stray:
+            raise TimingError(f"known arrival times for non-inputs {sorted(stray)}")
         #: footnote 3 extension: per-output don't-care sets (a
         #: :class:`repro.sop.Cover` over the primary inputs, in
         #: ``network.inputs`` column order).  On don't-care vectors no
@@ -118,9 +95,6 @@ class ExactAnalysis:
             self.leaves: LeafTimes = enumerate_leaf_times(
                 self.unrolling, self.output_required, max_leaves=max_leaves
             )
-        # ``reorder`` mirrors the paper's setup ("the exact algorithm was
-        # run with dynamic variable reordering being set"): sifting kicks
-        # in automatically while the relation is being built.
         self.manager = manager or create_manager(
             backend,
             max_nodes=max_nodes,
@@ -150,11 +124,15 @@ class ExactAnalysis:
         # chain and its cluster's neighbors, so this order keeps the
         # constraint BDDs local (the all-X-then-all-leaves order exhibits
         # the classical interleaving blowup on clustered circuits).
+        known = self.known_arrivals
+        unknown = [pi for pi in net.inputs if pi not in known]
         leaf_vars: list[LeafVar] = []
         leaf_index: dict[tuple[str, int, float], LeafVar] = {}
         for pi in net.inputs:
             if not m.has_var(pi):
                 m.add_var(pi)
+            if pi in known:
+                continue
             for value, table in ((1, self.leaves.for_one), (0, self.leaves.for_zero)):
                 for t in table.get(pi, ()):
                     name = f"chi[{pi},{value},{t:g}]"
@@ -165,11 +143,14 @@ class ExactAnalysis:
                     leaf_index[(pi, value, t)] = lv
 
         # the inventory visited every triple the χ fold can reach
-        chi = ChiBdd(
-            self.unrolling,
-            m,
-            lambda name, value, t: m.var(leaf_index[(name, value, t)].var_name),
-        )
+        arrival = known_arrival_leaf(m, known)
+
+        def leaf(name: str, value: int, t: float) -> BddNode:
+            if name in known:
+                return arrival(name, value, t)
+            return m.var(leaf_index[(name, value, t)].var_name)
+
+        chi = ChiBdd(self.unrolling, m, leaf)
         req = self.output_required
 
         with span("exact.global_functions"):
@@ -208,8 +189,8 @@ class ExactAnalysis:
 
         # ordering chains and literal bounds (balanced conjunction per
         # input keeps the intermediate relation BDDs from going lopsided)
-        with span("exact.chain_constraints", inputs=len(net.inputs)):
-            for pi in net.inputs:
+        with span("exact.chain_constraints", inputs=len(unknown)):
+            for pi in unknown:
                 chain_constraints: list[BddNode] = []
                 for value, table in ((1, self.leaves.for_one), (0, self.leaves.for_zero)):
                     times = table.get(pi, ())
@@ -294,51 +275,66 @@ class ExactRelation:
     # ------------------------------------------------------------------
     # relation rows (the paper's Section 4.1 tables)
     # ------------------------------------------------------------------
+    def _bit_rows(self, node: BddNode) -> set[str]:
+        names = self.leaf_var_names
+        return {
+            "".join(str(sol[n]) for n in names)
+            for sol in self.manager.sat_iter(node, names)
+        }
+
     def rows(self, minterm: Mapping[str, int]) -> set[str]:
         """All permissible stability vectors at one input minterm, rendered
         as bit strings in ``leaf_vars`` order (the paper's table format)."""
-        restricted = self._restrict_to_minterm(minterm)
-        result = set()
-        names = self.leaf_var_names
-        for sol in self.manager.sat_iter(restricted, names):
-            result.add("".join(str(sol[n]) for n in names))
-        return result
+        return self._bit_rows(self._restrict_to_minterm(minterm))
 
     def minimal_rows(self, minterm: Mapping[str, int]) -> set[str]:
         """The minimal elements: the latest-required-time sub-relation."""
         restricted = self._restrict_to_minterm(minterm)
         with span("exact.minimal_elements"):
             minimal = minimal_elements(restricted, self.leaf_var_names)
+        return self._bit_rows(minimal)
+
+    def profiles(
+        self, slice_: BddNode, values: Mapping[str, int]
+    ) -> set[RequiredTimeProfile]:
+        """The minimal elements of one slice of F, read as required-time
+        profiles over the signals in ``values`` at those values.
+
+        ``slice_`` is F with some variables fixed (``F|m`` for a minterm,
+        or a §5 fold restricted to a boundary vector).  In each minimal
+        row, the required time of signal x at its value b is the earliest
+        t with χ_{x,b}^t = 1; ``INF`` when no stability is demanded, also
+        for a signal with no leaf variable at all.
+        """
+        chains: dict[tuple[str, int], list[LeafVar]] = {}
+        for lv in self.leaf_vars:  # ascending time within each chain
+            chains.setdefault((lv.input, lv.value), []).append(lv)
         names = self.leaf_var_names
+        with span("exact.minimal_elements"):
+            minimal = minimal_elements(slice_, names)
         result = set()
         for sol in self.manager.sat_iter(minimal, names):
-            result.add("".join(str(sol[n]) for n in names))
+            times: dict[str, tuple[float, float]] = {}
+            for x, b in values.items():
+                req = next(
+                    (lv.time for lv in chains.get((x, b), ()) if sol[lv.var_name]),
+                    INF,
+                )
+                times[x] = (req, INF) if b == 0 else (INF, req)
+            result.add(RequiredTimeProfile.from_dict(times))
         return result
 
     def required_tuples(
         self, minterm: Mapping[str, int]
     ) -> set[RequiredTimeProfile]:
-        """The latest required-time tuples at one minterm.
-
-        For each minimal row, the required time of input x (whose value in
-        the minterm is b) is the earliest t with χ_{x,b}^t = 1; ``INF`` when
-        no stability is demanded.
-        """
-        profiles = set()
-        for row in self.minimal_rows(minterm):
-            bits = dict(zip(self.leaf_var_names, row))
-            times: dict[str, tuple[float, float]] = {}
-            for x in self.network.inputs:
-                b = int(minterm[x])
-                demanded = [
-                    lv.time
-                    for lv in self.leaf_vars
-                    if lv.input == x and lv.value == b and bits[lv.var_name] == "1"
-                ]
-                req = min(demanded) if demanded else INF
-                times[x] = (req, INF) if b == 0 else (INF, req)
-            profiles.add(RequiredTimeProfile.from_dict(times))
-        return profiles
+        """The latest required-time tuples at one minterm:
+        :meth:`profiles` of ``F|minterm`` over every primary input.  An
+        input with a known arrival time has no leaf variable, so it reads
+        ``INF``: the relation demands nothing more of it."""
+        restricted = self._restrict_to_minterm(minterm)
+        return self.profiles(
+            restricted, {x: int(minterm[x]) for x in self.network.inputs}
+        )
 
     # ------------------------------------------------------------------
     # non-triviality

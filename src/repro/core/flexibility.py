@@ -8,9 +8,10 @@ timing specification handed to a resynthesis tool is
   arrival-time tuples the environment can present, including the (∞,…,∞)
   rows for unreachable vectors (satisfiability don't cares);
 * **required flexibility at V** (Section 5.2) — computed on N_FO, N with V
-  relabeled as primary inputs, with the Section 4 machinery; inputs of
-  N_FO that are original primary inputs keep their known arrival times
-  (no leaf variables are introduced for them);
+  relabeled as primary inputs, with the Section 4 machinery: one
+  :class:`~repro.core.exact.ExactAnalysis` on N_FO whose original primary
+  inputs keep their known arrival times (no leaf variables are introduced
+  for them);
 * optionally the **coupled analysis** of Section 5.3 when the subcircuit's
   function is preserved: arrival and required times indexed by the full
   primary-input vector.
@@ -23,22 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.bdd import BddManager, BddNode, create_manager, minimal_elements
-from repro.core.leaves import enumerate_leaf_times
+from repro.bdd import BddManager, BddNode
+from repro.core.exact import ExactAnalysis, ExactRelation
 from repro.core.required_time import INF, RequiredTimeProfile
 from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.transform import fanin_network, fanout_network
 from repro.network.verify import global_functions
-from repro.timing.chi import (
-    ChiBdd,
-    ChiEngine,
-    ChiUnrolling,
-    candidate_times,
-    known_arrival_leaf,
-)
+from repro.timing.chi import ChiEngine, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
-from repro.timing.topological import required_map
 
 
 @dataclass
@@ -62,6 +56,45 @@ class ArrivalFlexibility:
         return len(entry) == 1 and all(math.isinf(t) for t in entry[0])
 
 
+def _first_stable_classes(
+    network: Network,
+    boundary: list[str],
+    delays: DelayModel,
+    input_arrivals: Mapping[str, object] | None,
+) -> tuple[Network, BddManager, dict[str, list[tuple[float, BddNode]]]]:
+    """The Section 5.1 partition on N_FI, the transitive fanin of
+    ``boundary``: per boundary signal u, the non-empty classes
+    S_k = χ̃_u^{t_k} ∧ ¬χ̃_u^{t_{k-1}} of input vectors that first
+    stabilize u at t_k, as ``(t_k, S_k)`` pairs in time order.
+
+    Returns ``(nfi, manager, classes)``.
+    """
+    nfi = fanin_network(network, boundary)
+    fanin_inputs = set(nfi.inputs)
+    arrivals = {
+        pi: t for pi, t in (input_arrivals or {}).items() if pi in fanin_inputs
+    }
+    engine = ChiEngine(nfi, delays, arrivals)
+    m = engine.manager
+    cands = candidate_times(nfi, delays, arrivals)
+    classes: dict[str, list[tuple[float, BddNode]]] = {}
+    for u in boundary:
+        found: list[tuple[float, BddNode]] = []
+        prev = m.false
+        for t in cands[u]:
+            cur = engine.stable(u, t)
+            cls = cur & ~prev
+            if not cls.is_false:
+                found.append((t, cls))
+            prev = cur
+        if not prev.is_true:
+            raise TimingError(
+                f"signal {u!r} not stable at its topological delay"
+            )
+        classes[u] = found
+    return nfi, m, classes
+
+
 def arrival_flexibility(
     network: Network,
     boundary: Sequence[str],
@@ -81,34 +114,9 @@ def arrival_flexibility(
             f"boundary of {len(boundary)} signals exceeds max_boundary="
             f"{max_boundary} (the fold enumerates 2^|U| vectors)"
         )
-    delays = delays or unit_delay()
-    nfi = fanin_network(network, boundary)
-    relevant_arrivals = {
-        pi: t for pi, t in (input_arrivals or {}).items() if pi in set(nfi.inputs)
-    }
-    engine = ChiEngine(nfi, delays, relevant_arrivals)
-    input_arrivals = relevant_arrivals
-    m = engine.manager
-
-    # per boundary signal: its candidate arrival moments and the partition
-    # {S_1, ..., S_l} of the input space by first-stable time
-    cands = candidate_times(nfi, delays, input_arrivals)
-    partitions: dict[str, list[tuple[float, BddNode]]] = {}
-    for u in boundary:
-        classes: list[tuple[float, BddNode]] = []
-        prev = m.false
-        for t in cands[u]:
-            cur = engine.stable(u, t)
-            cls = cur & ~prev
-            if not cls.is_false:
-                classes.append((t, cls))
-            prev = cur
-        if not prev.is_true:
-            raise TimingError(
-                f"signal {u!r} not stable at its topological delay"
-            )
-        partitions[u] = classes
-
+    nfi, m, classes = _first_stable_classes(
+        network, boundary, delays or unit_delay(), input_arrivals
+    )
     funcs = global_functions(nfi, m)
 
     table: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
@@ -120,7 +128,7 @@ def arrival_flexibility(
             table[bits] = [tuple(INF for _ in boundary)]
             continue
         tuples: set[tuple[float, ...]] = set()
-        _collect_tuples(m, preimage, boundary, partitions, 0, [], tuples)
+        _collect_tuples(m, preimage, boundary, classes, 0, [], tuples)
         table[bits] = _maximal_tuples(tuples)
     return ArrivalFlexibility(boundary=boundary, table=table)
 
@@ -176,104 +184,36 @@ class RequiredFlexibility:
         return sorted(self.per_vector.items())
 
 
-def _boundary_relation(
+def _fanout_relation(
     network: Network,
     boundary: list[str],
     delays: DelayModel,
     output_required: Mapping[str, float] | float,
-    input_arrivals: Mapping[str, float] | None,
-    manager: BddManager | None,
-    max_nodes: int | None,
-):
-    """Build the exact Section 4.1 relation on N_FO with leaf χ variables
-    only at the boundary (known-arrival inputs keep concrete leaves).
+    input_arrivals: Mapping[str, object] | None,
+    manager: BddManager | None = None,
+    max_nodes: int | None = None,
+) -> ExactRelation:
+    """The exact Section 4.1 relation on N_FO: leaf χ variables only at
+    the boundary, every other input of N_FO at its known arrival time.
 
-    Returns ``(manager, relation_bdd, leaf_order, nfo, known_inputs)``
-    where ``leaf_order`` is a list of (signal, value, time, var_name).
+    A boundary signal that feeds only other boundary signals is not an
+    input of N_FO; nothing outside the subcircuit observes it, so the
+    relation has no variable for it.
     """
     nfo = fanout_network(network, boundary)
-    known_inputs = [pi for pi in nfo.inputs if pi not in boundary]
-    req = required_map(nfo, output_required)
-
-    unrolling = ChiUnrolling(nfo, delays)
-    leaves = enumerate_leaf_times(unrolling, req)
-    m = manager or create_manager(max_nodes=max_nodes)
-    for pi in nfo.inputs:
-        if not m.has_var(pi):
-            m.add_var(pi)
-
-    leaf_index: dict[tuple[str, int, float], str] = {}
-    leaf_order: list[tuple[str, int, float, str]] = []
-    for v in boundary:
-        for value, table in ((1, leaves.for_one), (0, leaves.for_zero)):
-            for t in table.get(v, ()):
-                name = f"chi[{v},{value},{t:g}]"
-                if not m.has_var(name):
-                    m.add_var(name)
-                leaf_index[(v, value, t)] = name
-                leaf_order.append((v, value, t, name))
-
-    known = known_arrival_leaf(
-        m, {pi: (input_arrivals or {}).get(pi, 0.0) for pi in known_inputs}
-    )
-
-    def leaf(name: str, value: int, t: float) -> BddNode:
-        var = leaf_index.get((name, value, t))
-        if var is None:  # a primary input with a known arrival time
-            return known(name, value, t)
-        return m.var(var)
-
-    chi = ChiBdd(unrolling, m, leaf)
-
-    onsets = global_functions(nfo, m)
-    relation = m.true
-    for out, t in req.items():
-        on = onsets[out]
-        relation = relation & chi.chi(out, 1, t).equiv(on)
-        relation = relation & chi.chi(out, 0, t).equiv(~on)
-
-    # ordering chains / bounds for the boundary leaves
-    for v in boundary:
-        for value, table in ((1, leaves.for_one), (0, leaves.for_zero)):
-            times = table.get(v, ())
-            bound = m.var(v) if value else m.nvar(v)
-            prev: BddNode | None = None
-            for t in times:
-                cur = m.var(leaf_index[(v, value, t)])
-                if prev is not None:
-                    relation = relation & prev.implies(cur)
-                prev = cur
-            if prev is not None:
-                relation = relation & prev.implies(bound)
-
-    return m, relation, leaf_order, nfo, known_inputs
-
-
-def _profiles_from_restricted(
-    m: BddManager,
-    restricted: BddNode,
-    boundary: list[str],
-    bits: tuple[int, ...],
-    leaf_order,
-) -> set[RequiredTimeProfile]:
-    """Minimal elements of a relation slice, read as required-time profiles."""
-    leaf_names = [name for *_, name in leaf_order]
-    if restricted.is_false:
-        return set()
-    minimal = minimal_elements(restricted, leaf_names)
-    profiles: set[RequiredTimeProfile] = set()
-    for sol in m.sat_iter(minimal, leaf_names):
-        times: dict[str, tuple[float, float]] = {}
-        for v, b in zip(boundary, bits):
-            demanded = [
-                t
-                for (sig, value, t, name) in leaf_order
-                if sig == v and value == b and sol[name] == 1
-            ]
-            r = min(demanded) if demanded else INF
-            times[v] = (r, INF) if b == 0 else (INF, r)
-        profiles.add(RequiredTimeProfile.from_dict(times))
-    return profiles
+    cut = set(boundary)
+    arrivals = input_arrivals or {}
+    return ExactAnalysis(
+        nfo,
+        delays,
+        output_required,
+        manager=manager,
+        max_nodes=max_nodes,
+        max_leaves=100_000,
+        known_arrivals={
+            pi: arrivals.get(pi, 0.0) for pi in nfo.inputs if pi not in cut
+        },
+    ).relation()
 
 
 def required_flexibility(
@@ -291,27 +231,32 @@ def required_flexibility(
     Builds N_FO (V relabeled as primary inputs), runs the exact Section 4.1
     construction with leaf χ variables only at V (the original primary
     inputs keep their known arrival times), universally quantifies the
-    known inputs, and extracts the latest required times per V vector.
+    known inputs, and extracts the latest required times per V vector.  A
+    boundary signal absent from N_FO reads ``INF`` for both values.
     """
     boundary = list(boundary)
     if len(boundary) > max_boundary:
         raise ResourceLimitError(
             f"boundary of {len(boundary)} signals exceeds max_boundary={max_boundary}"
         )
-    delays = delays or unit_delay()
-    m, relation, leaf_order, _nfo, known_inputs = _boundary_relation(
-        network, boundary, delays, output_required, input_arrivals, manager, max_nodes
+    relation = _fanout_relation(
+        network, boundary, delays or unit_delay(), output_required,
+        input_arrivals, manager, max_nodes,
     )
+    m = relation.manager
+    nfo_inputs = relation.network.inputs
+    known = [pi for pi in nfo_inputs if pi not in boundary]
 
     # fold over the known inputs: the requirement must be safe for all X
-    folded = m.forall(known_inputs, relation) if known_inputs else relation
+    folded = m.forall(known, relation.F) if known else relation.F
 
     per_vector: dict[tuple[int, ...], set[RequiredTimeProfile]] = {}
     for bits in itertools.product((0, 1), repeat=len(boundary)):
-        restricted = m.restrict(folded, dict(zip(boundary, bits)))
-        per_vector[bits] = _profiles_from_restricted(
-            m, restricted, boundary, bits, leaf_order
+        values = dict(zip(boundary, bits))
+        restricted = m.restrict(
+            folded, {v: b for v, b in values.items() if v in nfo_inputs}
         )
+        per_vector[bits] = relation.profiles(restricted, values)
     return RequiredFlexibility(boundary=boundary, per_vector=per_vector)
 
 
@@ -375,54 +320,36 @@ def coupled_flexibility(
     delays = delays or unit_delay()
 
     # arrival side: kept in terms of X (no folding onto U vectors)
-    nfi = fanin_network(network, sub_inputs)
-    relevant_arrivals = {
-        pi: t
-        for pi, t in (input_arrivals or {}).items()
-        if pi in set(nfi.inputs)
-    }
-    eng = ChiEngine(nfi, delays, relevant_arrivals)
-    cands = candidate_times(nfi, delays, relevant_arrivals)
-    stables = {
-        u: [(t, eng.stable(u, t)) for t in cands[u]] for u in sub_inputs
-    }
-
-    # required side: the boundary relation, restricted per X minterm
-    m, relation, leaf_order, _nfo, known_inputs = _boundary_relation(
-        network, sub_outputs, delays, output_required, input_arrivals, None, None
+    nfi, fm, classes = _first_stable_classes(
+        network, sub_inputs, delays, input_arrivals
     )
-
-    funcs = global_functions(network)
-    fm = funcs[network.outputs[0]].manager if network.outputs else None
+    # required side: the N_FO relation, restricted per X minterm
+    relation = _fanout_relation(
+        network, sub_outputs, delays, output_required, input_arrivals
+    )
+    m = relation.manager
 
     rows: list[CoupledRow] = []
     for bits in itertools.product((0, 1), repeat=len(network.inputs)):
         env = dict(zip(network.inputs, bits))
-        values = network.simulate(env)
-        # arrival tuple at U for this minterm
-        u_tuple = []
-        for u in sub_inputs:
-            arr = INF
-            for t, stable in stables[u]:
-                if eng.manager.evaluate(stable, {k: env[k] for k in nfi.inputs}):
-                    arr = t
-                    break
-            u_tuple.append(arr)
-        v_bits = tuple(int(values[v]) for v in sub_outputs)
-        # restrict the relation to this minterm: boundary values plus the
-        # known-arrival inputs present in N_FO
-        assignment = {pi: env[pi] for pi in known_inputs}
-        assignment.update(dict(zip(sub_outputs, v_bits)))
-        restricted = m.restrict(relation, assignment)
-        profiles = _profiles_from_restricted(
-            m, restricted, sub_outputs, v_bits, leaf_order
+        values = {k: int(v) for k, v in network.simulate(env).items()}
+        fanin_env = {x: env[x] for x in nfi.inputs}
+        u_arrivals = tuple(
+            next((t for t, cls in classes[u] if fm.evaluate(cls, fanin_env)), INF)
+            for u in sub_inputs
+        )
+        v_values = {v: values[v] for v in sub_outputs}
+        # every input of N_FO is a boundary signal or a primary input, so
+        # the minterm fixes them all
+        restricted = m.restrict(
+            relation.F, {x: values[x] for x in relation.network.inputs}
         )
         rows.append(
             CoupledRow(
                 x_vector=bits,
-                u_arrivals=tuple(u_tuple),
-                v_vector=v_bits,
-                required=profiles,
+                u_arrivals=u_arrivals,
+                v_vector=tuple(v_values.values()),
+                required=relation.profiles(restricted, v_values),
             )
         )
     return CoupledFlexibility(

@@ -32,7 +32,7 @@ from repro.network.transform import fanin_network, fanout_network
 from repro.timing.chi import ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
-from repro.timing.topological import arrival_times, required_times
+from repro.timing.topological import arrival_times, required_map, required_times
 
 
 @dataclass
@@ -107,10 +107,7 @@ def _true_required(
     engine: Literal["bdd", "sat"],
 ) -> float:
     nfo = fanout_network(network, [node])
-    if isinstance(output_required, Mapping):
-        req = {o: float(output_required[o]) for o in nfo.outputs}
-    else:
-        req = {o: float(output_required) for o in nfo.outputs}
+    req = required_map(nfo, output_required)
 
     leaves = enumerate_leaf_times(ChiUnrolling(nfo, delays), req)
     axis = leaves.merged(node)

@@ -57,6 +57,8 @@ class FunctionalTiming:
         self.engine = engine
         self.max_conflicts = max_conflicts
         self._chi: ChiEngine | None = None
+        # every node's candidate stabilization moments, computed once
+        self._candidates: dict[str, list[float]] | None = None
         # the SAT engine's one unrolling: every ChiSat built here (one per
         # stability check, e.g. along true_arrival's search) reads it
         self._unrolling = (
@@ -96,9 +98,11 @@ class FunctionalTiming:
         the candidate stabilization moments.
         """
         with span("chi.true_arrival", output=output, engine=self.engine):
-            cands = candidate_times(self.network, self.delays, self.arrivals)[
-                output
-            ]
+            if self._candidates is None:
+                self._candidates = candidate_times(
+                    self.network, self.delays, self.arrivals
+                )
+            cands = self._candidates[output]
             lo, hi = 0, len(cands) - 1
             if not self.output_stable_by(output, cands[hi]):
                 raise TimingError(

@@ -73,17 +73,8 @@ def required_times(
     single number applied to every primary output or a per-output mapping.
     """
     delays = delays or unit_delay()
-    if isinstance(output_required, Mapping):
-        req_out = dict(output_required)
-        missing = set(network.outputs) - set(req_out)
-        if missing:
-            raise TimingError(f"missing required times for outputs {sorted(missing)}")
-    else:
-        req_out = {o: float(output_required) for o in network.outputs}
-
     req: dict[str, float] = {name: math.inf for name in network.nodes}
-    for out, t in req_out.items():
-        req[out] = min(req[out], float(t))
+    req.update(required_map(network, output_required))
 
     with span("topo.required", nodes=len(network.nodes)):
         for name in network.reverse_topological_order():
@@ -144,19 +135,11 @@ def required_time_bounds(
     running :func:`required_times` once per corner — point intervals
     collapse both corners onto the scalar result (docs/DELAY_MODELS.md).
     """
-    if isinstance(output_required, Mapping):
-        req_out = dict(output_required)
-        missing = set(network.outputs) - set(req_out)
-        if missing:
-            raise TimingError(f"missing required times for outputs {sorted(missing)}")
-    else:
-        req_out = {o: float(output_required) for o in network.outputs}
-
+    req_out = required_map(network, output_required)
     lo: dict[str, float] = {name: math.inf for name in network.nodes}
     hi: dict[str, float] = {name: math.inf for name in network.nodes}
-    for out, t in req_out.items():
-        lo[out] = min(lo[out], float(t))
-        hi[out] = min(hi[out], float(t))
+    lo.update(req_out)
+    hi.update(req_out)
 
     with span("topo.required_bounds", nodes=len(network.nodes)):
         for name in network.reverse_topological_order():

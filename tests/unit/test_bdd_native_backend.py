@@ -30,7 +30,7 @@ from repro.obs.metrics import REGISTRY
 HAVE_KERNEL = native_status()[0]
 
 needs_kernel = pytest.mark.skipif(
-    not HAVE_KERNEL, reason="native kernel unavailable (no C compiler?)"
+    not HAVE_KERNEL, reason="native kernel unavailable (no C compiler or numpy?)"
 )
 
 
@@ -103,6 +103,44 @@ class TestBuild:
         a, b = manager.add_var("a"), manager.add_var("b")
         assert (a & b).id == manager._and(a.id, b.id)
 
+    def test_numpy_missing_falls_back(self, tmp_path):
+        # a fresh interpreter whose import system refuses numpy (setting
+        # sys.modules["numpy"] = None would break hypothesis instead)
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        from repro.circuits import c17
+        from repro.network import write_blif
+
+        blif = tmp_path / "c17.blif"
+        blif.write_text(write_blif(c17()))
+        program = (
+            "import sys\n"
+            "class NoNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            raise ModuleNotFoundError(name, name=name)\n"
+            "sys.meta_path.insert(0, NoNumpy())\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
+            REPRO_BDD_BACKEND="native",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program, "required", str(blif),
+             "--method", "exact", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stamp = json.loads(proc.stdout)["bdd_backend"]
+        assert stamp["effective"] == "object"
+        assert "numpy" in stamp["fallback_reason"]
+
     def test_compiler_env_override_is_surfaced(self, isolated_loader, monkeypatch):
         monkeypatch.setenv(native_build.CC_ENV, "/no/such/compiler")
         path, reason = native_build.build_kernel(force=True)
@@ -150,13 +188,14 @@ class TestResolution:
     def test_unknown_name_error_is_uniform(self, monkeypatch):
         # the one canonical message, from every entry point
         from repro.bdd.api import resolve_backend
-        from repro.core.exact import ExactOptions
+        from repro.circuits import figure4
+        from repro.core.exact import ExactAnalysis
 
         with pytest.raises(BddError, match="unknown BDD backend 'cudd'") as api_err:
             resolve_backend("cudd")
-        with pytest.raises(BddError, match="unknown BDD backend 'cudd'") as opt_err:
-            ExactOptions(backend="cudd")
-        assert str(api_err.value) == str(opt_err.value)
+        with pytest.raises(BddError, match="unknown BDD backend 'cudd'") as exact_err:
+            ExactAnalysis(figure4(), backend="cudd")
+        assert str(api_err.value) == str(exact_err.value)
         monkeypatch.setenv(BACKEND_ENV, "cudd")
         with pytest.raises(BddError, match="unknown BDD backend 'cudd'"):
             create_manager()
@@ -378,13 +417,13 @@ class TestCacheKey:
         # the frozen key literal is not a backend name: no alias exists
         from repro.cache.keys import required_key
         from repro.circuits import parity_tree
-        from repro.core.exact import ExactOptions
+        from repro.core.exact import ExactAnalysis
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         with pytest.raises(BddError, match="unknown BDD backend 'array'"):
             create_manager("array")
         with pytest.raises(BddError, match="unknown BDD backend 'array'"):
-            ExactOptions(backend="array")
+            ExactAnalysis(parity_tree(3), backend="array")
         with pytest.raises(BddError, match="unknown BDD backend 'array'"):
             required_key(parity_tree(3), "exact", options={"backend": "array"})
 

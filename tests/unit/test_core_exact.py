@@ -168,3 +168,37 @@ class TestResourceLimits:
     def test_reorder_option_runs(self):
         rel = ExactAnalysis(figure4(), output_required=2.0, reorder=True).relation()
         assert rel.nontrivial()
+
+
+class TestKnownArrivals:
+    INF = float("inf")
+
+    def x1_requirements(self, x2_arrival):
+        rel = ExactAnalysis(
+            figure4(), output_required=2.0, known_arrivals={"x2": x2_arrival}
+        ).relation()
+        assert {lv.input for lv in rel.leaf_vars} == {"x1"}
+        table = {}
+        for bits in itertools.product((0, 1), repeat=2):
+            profiles = rel.required_tuples(dict(zip(("x1", "x2"), bits)))
+            # x2 has no leaf variable: the relation asks nothing more of it
+            assert all(p.of("x2") == (self.INF, self.INF) for p in profiles)
+            table[bits] = {p.value_independent()["x1"] for p in profiles}
+        return table
+
+    def test_known_input_keeps_its_arrival(self):
+        # x2 at 0 meets the paper's (INF, 1) alternative at minterm 00
+        assert self.x1_requirements(0.0) == {
+            (0, 0): {self.INF},
+            (0, 1): {0.0},
+            (1, 0): {self.INF},
+            (1, 1): {0.0},
+        }
+        # x2 at 1 is too late for w at minterm 11: no profile is safe there
+        assert self.x1_requirements(1.0)[(1, 1)] == set()
+
+    def test_non_input_rejected(self):
+        from repro.errors import TimingError
+
+        with pytest.raises(TimingError, match="'w'"):
+            ExactAnalysis(figure4(), known_arrivals={"w": 0.0})

@@ -105,6 +105,16 @@ class TestTrueSlack:
         with pytest.raises(TimingError):
             true_slack(net, "c2", output_required=0.0)
 
+    def test_non_output_requirement_rejected(self):
+        # naming the internal node G10 is not a boundary condition: both
+        # the topological and the false-path-aware side must refuse it
+        from repro.circuits import c17
+
+        with pytest.raises(TimingError, match="G10"):
+            true_slack(
+                c17(), "G10", output_required={"G22": 3, "G23": 3, "G10": -5}
+            )
+
     def test_true_slacks_bulk(self, cskip):
         net, T = cskip
         reports = true_slacks(net, ["c1", "c2"], output_required=T)

@@ -1,6 +1,6 @@
 """The exact engine's opt-in dynamic variable reordering (§6 setup).
 
-``ExactOptions(reorder=True)`` builds the relation with automatic
+``ExactAnalysis(..., reorder=True)`` builds the relation with automatic
 sifting enabled and runs a final :func:`repro.bdd.reorder.sift` pass.
 Sifting permutes levels in place, so every externally held handle must
 keep denoting the same Boolean function — checked here by re-querying
@@ -11,36 +11,9 @@ import itertools
 import pytest
 
 from repro.circuits import carry_skip_block, figure4
-from repro.core.exact import ExactAnalysis, ExactOptions
+from repro.core.exact import ExactAnalysis
 
 REQUIRED = 2.0
-
-
-class TestExactOptions:
-    def test_kwargs_round_trip(self):
-        opts = ExactOptions(
-            max_nodes=1000, reorder=True, max_leaves=99, backend="native"
-        )
-        assert opts.kwargs() == {
-            "max_nodes": 1000,
-            "reorder": True,
-            "max_leaves": 99,
-            "backend": "native",
-        }
-
-    def test_defaults_are_off(self):
-        opts = ExactOptions()
-        assert opts.max_nodes is None
-        assert not opts.reorder
-
-    def test_options_override_individual_kwargs(self):
-        analysis = ExactAnalysis(
-            figure4(),
-            output_required=REQUIRED,
-            reorder=False,
-            options=ExactOptions(reorder=True),
-        )
-        assert analysis.reorder is True
 
 
 class TestSiftedRelation:
@@ -50,7 +23,7 @@ class TestSiftedRelation:
         sifted = ExactAnalysis(
             carry_skip_block(),
             output_required=REQUIRED,
-            options=ExactOptions(reorder=True),
+            reorder=True,
         )
         return plain, plain.relation(), sifted, sifted.relation()
 

@@ -177,3 +177,14 @@ class TestStability:
     def test_true_arrival_times_wrapper(self):
         times = true_arrival_times(fig4())
         assert times == {"z": 2.0}
+
+    def test_candidate_times_computed_once(self):
+        from repro.circuits import mcnc_suite
+        from repro.obs.trace import tracing
+
+        m3 = {s.name: s for s in mcnc_suite()}["m3"].network
+        assert len(m3.outputs) == 103
+        with tracing(capture_metrics=False) as trace:
+            FunctionalTiming(m3).true_arrivals()
+        spans = [s for s, _ in trace.walk() if s.name == "chi.candidate_times"]
+        assert len(spans) == 1

@@ -121,6 +121,12 @@ class TestRequired:
         with pytest.raises(TimingError):
             required_times(net, output_required={})
 
+    def test_non_output_name_rejected(self):
+        # an internal node's name is not a boundary condition
+        net = fig4()
+        with pytest.raises(TimingError, match="non-outputs \\['w'\\]"):
+            required_times(net, output_required={"z": 2.0, "w": -5.0})
+
     def test_unconstrained_node_is_infinite(self):
         net = Network("dangling")
         net.add_input("a")
