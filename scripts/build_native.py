@@ -14,9 +14,9 @@ exists.  ``--status`` only reports what a lazy load would do (compiler,
 artifact path, availability) without building.  Exit code is 0 when the
 kernel is (or would be) available, 1 otherwise — except with
 ``--allow-fallback``, where a missing toolchain is reported but exits 0,
-mirroring the runtime's graceful degradation to the object kernel.  A
-build also fails when the runtime still cannot use the kernel
-(``native_status()``, e.g. without numpy).
+mirroring the runtime's graceful degradation to the object kernel.  The
+load is the one ``native_status()`` reports, so exit 0 means managers
+will run on the native kernel.
 
 Environment: ``REPRO_NATIVE_CC`` overrides the compiler,
 ``REPRO_NATIVE_CACHE`` the artifact directory.
@@ -66,12 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"load      : FAILED ({reason})", file=sys.stderr)
         return 0 if args.allow_fallback else 1
     print(f"build     : ok (abi {lib.nat_abi_version()})")
-    from repro.bdd.native_backend import native_status
-
-    available, reason = native_status()
-    if not available:
-        print(f"runtime   : FAILED ({reason})", file=sys.stderr)
-        return 0 if args.allow_fallback else 1
     return 0
 
 

@@ -10,10 +10,11 @@ this environment, so this package implements one from scratch:
   cache, standard Boolean operators, restriction, composition, existential
   and universal quantification, satisfiability helpers.
 * :class:`~repro.bdd.native_backend.NativeBddManager` — the native
-  kernel: the same surface with the hot apply/quantify loops compiled to
-  C at first use over flat node arrays, open-addressed unique tables,
-  and compacting GC; bit-identical node sequences, graceful fallback to
-  the object kernel without a compiler (see docs/BDD_BACKENDS.md).
+  kernel: the same surface over one node store compiled to C at first
+  use — flat node arrays, open-addressed unique tables, the hot
+  apply/quantify loops, compacting GC and level swaps; bit-identical
+  node sequences, graceful fallback to the object kernel without a
+  compiler (see docs/BDD_BACKENDS.md).
 * :mod:`~repro.bdd.api` — the backend :class:`~repro.bdd.api.Manager`
   protocol and the :func:`~repro.bdd.api.create_manager` factory that
   selects between the kernels (``REPRO_BDD_BACKEND`` env default).
@@ -63,9 +64,10 @@ __all__ = [
 def __getattr__(name: str):
     """Lazily expose the native kernel (PEP 562).
 
-    It imports numpy and ctypes; loading it eagerly would tax every
-    process that only ever touches the object kernel with that import
-    cost.  ``create_manager`` performs the same lazy import internally.
+    It imports ctypes and loads (building, at first use) the C kernel;
+    doing that eagerly would tax every process that only ever touches
+    the object kernel.  ``create_manager`` performs the same lazy import
+    internally.
     """
     if name == "NativeBddManager":
         from repro.bdd.native_backend import NativeBddManager

@@ -43,7 +43,7 @@ COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 CFLAGS = ("-O2", "-fPIC", "-shared")
 
 #: expected ``nat_abi_version()`` of a loadable artifact
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 # (lib, reason) memo of the one load attempt per process; retried only
 # when a test resets it explicitly.
@@ -189,14 +189,16 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.nat_free.restype = None
     lib.nat_add_var.argtypes = [p]
     lib.nat_add_var.restype = None
-    lib.nat_set_node_cap.argtypes = [p, i64]
-    lib.nat_set_node_cap.restype = None
-    lib.nat_load.argtypes = [p, i64, i32p, i32p, i32p, i32, i32p, i64]
-    lib.nat_load.restype = None
     lib.nat_num_nodes.argtypes = [p]
     lib.nat_num_nodes.restype = i64
-    lib.nat_read_rows.argtypes = [p, i64, i64, i32p, i32p, i32p]
-    lib.nat_read_rows.restype = None
+    lib.nat_rows.argtypes = [p, c.POINTER(p)]
+    lib.nat_rows.restype = i64
+    lib.nat_var_sizes.argtypes = [p, i64p]
+    lib.nat_var_sizes.restype = None
+    lib.nat_gc.argtypes = [p, i32p, i64, i32p]
+    lib.nat_gc.restype = i64
+    lib.nat_swap_levels.argtypes = [p, i32]
+    lib.nat_swap_levels.restype = i64
     lib.nat_invalidate_caches.argtypes = [p]
     lib.nat_invalidate_caches.restype = None
     lib.nat_read_stats.argtypes = [p, i64p]

@@ -1,12 +1,14 @@
-/* kernel.c — the native BDD apply kernel (backend name "native").
+/* kernel.c — the native BDD kernel (backend name "native").
  *
  * A single self-contained translation unit compiled on demand by
- * repro.bdd._native.build (cc -O2 -fPIC -shared).  It reimplements the
- * hot apply/quantify loops of the array backend over the same packed-int
- * memory layout: parallel (var, low, high) node arrays with terminals at
- * ids 0/1, per-variable open-addressed unique tables keyed by
- * (low << 32) | high with linear probing, and direct-mapped computed
- * caches per operation.
+ * repro.bdd._native.build (cc -O2 -fPIC -shared).  It owns the whole node
+ * store: parallel (var, low, high) node arrays with terminals at ids 0/1,
+ * per-variable open-addressed unique tables keyed by (low << 32) | high
+ * with linear probing and tombstones, direct-mapped computed caches per
+ * operation, the apply/quantify loops, garbage collection (mark from a
+ * root array, tombstone sweep, deferred compaction with a dense old->new
+ * remap) and in-place adjacent level swaps.  Python reads the rows
+ * through read-only views of the node arrays (repro.bdd.native_backend).
  *
  * Bit-identity contract (enforced by the parity fuzz check and the
  * --native-backend regression gate): the *node-creation sequence* and the
@@ -22,8 +24,15 @@
  * kernel's deferred probes) without affecting parity.
  *
  * Budget aborts are reported by returning -1 through every machine; the
- * Python wrapper (repro.bdd.native_backend) raises ResourceLimitError
- * after mirroring the partial node rows, exactly like the other kernels.
+ * Python wrapper (repro.bdd.native_backend) raises ResourceLimitError,
+ * exactly like the object kernel.  The partial rows stay in the store.
+ *
+ * Row-buffer lifetime: growing the node arrays allocates new buffers and
+ * *retires* the old ones instead of freeing them; retired buffers are
+ * freed by the next collection (nat_gc) or by nat_free.  Python's views
+ * of an outgrown buffer therefore stay readable until it next calls
+ * nat_gc, and it replaces them whenever a call reports a node count past
+ * their length.
  */
 
 #include <stdint.h>
@@ -41,6 +50,7 @@ typedef uint64_t u64;
 #define H1 0x9E3779B1ULL
 #define H2 0x85EBCA77ULL
 #define NO_CAP ((i64)1 << 62)
+#define TOMB UINT64_MAX /* a swept unique-table slot; no (low, high) packs to it */
 
 /* computed-table indices (order mirrors the Python _tables hot prefix) */
 enum { T_NOT, T_AND, T_OR, T_XOR, T_EXISTS, T_ANDEX, T_ANDALL, T_RESTRICT,
@@ -51,10 +61,11 @@ enum { T_NOT, T_AND, T_OR, T_XOR, T_EXISTS, T_ANDEX, T_ANDALL, T_RESTRICT,
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    u64 *keys; /* packed (low << 32) | high; 0 = empty (no tombstones:   */
-    i32 *vals; /* the C tables are rebuilt from rows after every GC)     */
+    u64 *keys; /* packed (low << 32) | high; 0 = never used (probes stop), */
+    i32 *vals; /* TOMB = swept by a collection (probes continue past it)  */
     u64 mask;
-    i64 size;
+    i64 size;  /* resident entries */
+    i64 tombs; /* TOMB slots */
 } UT;
 
 /* ------------------------------------------------------------------ */
@@ -96,10 +107,20 @@ typedef struct {
     i64 n;        /* node rows in use (terminals included)   */
     i64 cap;      /* allocated rows                          */
     i64 node_cap; /* abort threshold: creating row n > cap   */
+    i64 max_nodes;  /* the budget (-1 = none)                */
+    i64 dead_rows;  /* swept rows not yet compacted away     */
+    i64 created;    /* lifetime node creations               */
+    i64 live;       /* table-resident internal nodes         */
+    i64 peak;       /* max of live since the last stats reset */
+    /* outgrown row buffers, freed by the next nat_gc/nat_free */
+    i32 **retired;
+    int nretired;
+    int retired_cap;
     int nvars;
     int vcap;
     UT *ut;       /* one per variable                        */
     i32 *v2l;     /* var -> level                            */
+    i32 *l2v;     /* level -> var                            */
     Cache tabs[N_TABS];
     i64 cache_bound;
     /* quantification scratch: level membership bitmap       */
@@ -131,6 +152,7 @@ static void ut_init(UT *t, u64 capacity) {
     t->vals = (i32 *)calloc(slots, sizeof(i32));
     t->mask = slots - 1;
     t->size = 0;
+    t->tombs = 0;
 }
 
 static void ut_free(UT *t) {
@@ -140,19 +162,20 @@ static void ut_free(UT *t) {
     t->vals = NULL;
 }
 
-static void ut_grow(UT *t) {
-    u64 slots = t->mask + 1;
-    /* mid-size tables quadruple, large tables double (array-kernel policy) */
-    slots <<= (slots >= ((u64)1 << 16)) ? 1 : 2;
+static u64 ut_home(i32 low, i32 high, u64 mask) {
+    return (((u64)(u32)low * H1) ^ (u32)high) & mask;
+}
+
+/* rehash the residents into `slots` fresh slots, dropping tombstones */
+static void ut_rehash(UT *t, u64 slots) {
     u64 *nk = (u64 *)calloc(slots, sizeof(u64));
     i32 *nv = (i32 *)calloc(slots, sizeof(i32));
     u64 mask = slots - 1;
-    u64 old_slots = t->mask + 1;
-    for (u64 i = 0; i < old_slots; i++) {
+    for (u64 i = 0; i <= t->mask; i++) {
         u64 key = t->keys[i];
-        if (!key)
+        if (!key || key == TOMB)
             continue;
-        u64 j = (((key >> 32) * H1) ^ (key & 0xFFFFFFFFULL)) & mask;
+        u64 j = ut_home((i32)(key >> 32), (i32)(key & 0xFFFFFFFFULL), mask);
         while (nk[j])
             j = (j + 1) & mask;
         nk[j] = key;
@@ -163,17 +186,53 @@ static void ut_grow(UT *t) {
     t->keys = nk;
     t->vals = nv;
     t->mask = mask;
+    t->tombs = 0;
 }
 
+/* count one more resident; mid-size tables quadruple at 2/3 load
+ * (tombstones included), large tables double */
+static void ut_count_insert(UT *t) {
+    u64 slots = t->mask + 1;
+    if ((++t->size + t->tombs) * 3 >= (i64)slots * 2)
+        ut_rehash(t, slots << ((slots >= ((u64)1 << 16)) ? 1 : 2));
+}
+
+/* empty the table, sized for `count` entries; a table never shrinks */
+static void ut_reset(UT *t, i64 count) {
+    u64 slots = pow2_at_least((u64)(count * 2 < 8 ? 8 : count * 2));
+    if (slots <= t->mask + 1) {
+        memset(t->keys, 0, (t->mask + 1) * sizeof(u64));
+    } else {
+        ut_free(t);
+        t->keys = (u64 *)calloc(slots, sizeof(u64));
+        t->vals = (i32 *)calloc(slots, sizeof(i32));
+        t->mask = slots - 1;
+    }
+    t->size = 0;
+    t->tombs = 0;
+}
+
+/* insert a (low, high) -> id entry assumed absent, reusing a tombstone */
 static void ut_insert(UT *t, i32 low, i32 high, i32 id) {
-    u64 key = ((u64)(u32)low << 32) | (u32)high;
-    u64 j = (((u64)(u32)low * H1) ^ (u32)high) & t->mask;
-    while (t->keys[j])
+    u64 j = ut_home(low, high, t->mask);
+    while (t->keys[j] && t->keys[j] != TOMB)
         j = (j + 1) & t->mask;
-    t->keys[j] = key;
+    if (t->keys[j] == TOMB)
+        t->tombs--;
+    t->keys[j] = ((u64)(u32)low << 32) | (u32)high;
     t->vals[j] = id;
-    if (++t->size * 3 >= (i64)(t->mask + 1) * 2)
-        ut_grow(t);
+    ut_count_insert(t);
+}
+
+/* the id stored for (low, high), or -1 */
+static i32 ut_lookup(const UT *t, i32 low, i32 high) {
+    u64 key = ((u64)(u32)low << 32) | (u32)high;
+    for (u64 j = ut_home(low, high, t->mask);; j = (j + 1) & t->mask) {
+        if (t->keys[j] == key)
+            return t->vals[j];
+        if (!t->keys[j])
+            return -1;
+    }
 }
 
 static void cache_init(Cache *c, i64 bound) {
@@ -241,15 +300,43 @@ static void cache_store(Cache *c, u64 slot, u64 k1, u64 k2, i32 r) {
 /* manager lifecycle                                                   */
 /* ------------------------------------------------------------------ */
 
+static void retire(Mgr *m, i32 *buf) {
+    if (m->nretired == m->retired_cap) {
+        m->retired_cap = m->retired_cap ? m->retired_cap * 2 : 8;
+        m->retired =
+            (i32 **)realloc(m->retired, m->retired_cap * sizeof(i32 *));
+    }
+    m->retired[m->nretired++] = buf;
+}
+
+static void free_retired(Mgr *m) {
+    for (int i = 0; i < m->nretired; i++)
+        free(m->retired[i]);
+    m->nretired = 0;
+}
+
+/* a copy of the first n rows of `old` in a buffer of `cap` rows; `old`
+ * is retired, not freed (see the row-buffer lifetime note above) */
+static i32 *regrow(Mgr *m, i32 *old, i64 cap) {
+    i32 *buf = (i32 *)malloc(cap * sizeof(i32));
+    memcpy(buf, old, m->n * sizeof(i32));
+    retire(m, old);
+    return buf;
+}
+
 static void grow_nodes(Mgr *m) {
     i64 cap = m->cap * 2;
-    m->var = (i32 *)realloc(m->var, cap * sizeof(i32));
-    m->low = (i32 *)realloc(m->low, cap * sizeof(i32));
-    m->high = (i32 *)realloc(m->high, cap * sizeof(i32));
+    m->var = regrow(m, m->var, cap);
+    m->low = regrow(m, m->low, cap);
+    m->high = regrow(m, m->high, cap);
     m->cap = cap;
 }
 
-Mgr *nat_new(i64 node_cap, i64 cache_bound) {
+static void set_node_cap(Mgr *m) {
+    m->node_cap = m->max_nodes < 0 ? NO_CAP : m->max_nodes + m->dead_rows;
+}
+
+Mgr *nat_new(i64 max_nodes, i64 cache_bound) {
     Mgr *m = (Mgr *)calloc(1, sizeof(Mgr));
     m->cap = 1024;
     m->var = (i32 *)malloc(m->cap * sizeof(i32));
@@ -263,11 +350,13 @@ Mgr *nat_new(i64 node_cap, i64 cache_bound) {
     m->low[1] = TRUE_ID;
     m->high[1] = TRUE_ID;
     m->n = 2;
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
+    m->max_nodes = max_nodes < 0 ? -1 : max_nodes;
+    set_node_cap(m);
     m->nvars = 0;
     m->vcap = 16;
     m->ut = (UT *)calloc(m->vcap, sizeof(UT));
     m->v2l = (i32 *)calloc(m->vcap, sizeof(i32));
+    m->l2v = (i32 *)calloc(m->vcap, sizeof(i32));
     m->cache_bound = cache_bound;
     for (int t = 0; t < N_TABS; t++)
         cache_init(&m->tabs[t], cache_bound);
@@ -288,10 +377,13 @@ void nat_free(Mgr *m) {
     free(m->var);
     free(m->low);
     free(m->high);
+    free_retired(m);
+    free(m->retired);
     for (int v = 0; v < m->nvars; v++)
         ut_free(&m->ut[v]);
     free(m->ut);
     free(m->v2l);
+    free(m->l2v);
     for (int t = 0; t < N_TABS; t++)
         cache_free(&m->tabs[t]);
     free(m->qset);
@@ -305,12 +397,15 @@ void nat_add_var(Mgr *m) {
         int vcap = m->vcap * 2;
         m->ut = (UT *)realloc(m->ut, vcap * sizeof(UT));
         m->v2l = (i32 *)realloc(m->v2l, vcap * sizeof(i32));
+        m->l2v = (i32 *)realloc(m->l2v, vcap * sizeof(i32));
         memset(m->ut + m->vcap, 0, (vcap - m->vcap) * sizeof(UT));
         m->vcap = vcap;
     }
     int var = m->nvars++;
     ut_init(&m->ut[var], 8);
-    m->v2l[var] = var; /* fresh vars enter at the bottom level */
+    /* fresh vars enter at the bottom level */
+    m->v2l[var] = var;
+    m->l2v[var] = var;
     if (m->nvars > m->qset_cap) {
         int cap = m->qset_cap * 2;
         m->qset = (unsigned char *)realloc(m->qset, cap);
@@ -319,62 +414,14 @@ void nat_add_var(Mgr *m) {
     }
 }
 
-void nat_set_node_cap(Mgr *m, i64 node_cap) {
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
-}
-
-/* Bulk (re)load after a Python-authority episode (GC, level swaps,
- * reordering): replace the node rows, rebuild every unique table from
- * the surviving rows, adopt the current variable order, and drop the
- * computed caches (their node-id keys may have been remapped). */
-void nat_load(Mgr *m, i64 n, const i32 *var, const i32 *low, const i32 *high,
-              i32 nvars, const i32 *v2l, i64 node_cap) {
-    if (n > m->cap) {
-        i64 cap = m->cap;
-        while (cap < n)
-            cap *= 2;
-        m->var = (i32 *)realloc(m->var, cap * sizeof(i32));
-        m->low = (i32 *)realloc(m->low, cap * sizeof(i32));
-        m->high = (i32 *)realloc(m->high, cap * sizeof(i32));
-        m->cap = cap;
-    }
-    memcpy(m->var, var, n * sizeof(i32));
-    memcpy(m->low, low, n * sizeof(i32));
-    memcpy(m->high, high, n * sizeof(i32));
-    m->n = n;
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
-    for (int v = 0; v < m->nvars; v++)
-        ut_free(&m->ut[v]);
-    while (m->nvars < nvars) {
-        /* sizes the ut/v2l/qset arrays; the per-var table is re-inited
-         * below with a proper capacity */
-        nat_add_var(m);
-        ut_free(&m->ut[m->nvars - 1]);
-    }
-    m->nvars = nvars;
-    memcpy(m->v2l, v2l, nvars * sizeof(i32));
-    /* count live rows per var, then size each table to its population */
-    i64 *counts = (i64 *)calloc(nvars ? nvars : 1, sizeof(i64));
-    for (i64 i = 2; i < n; i++)
-        if (var[i] >= 0)
-            counts[var[i]]++;
-    for (int v = 0; v < nvars; v++)
-        ut_init(&m->ut[v], (u64)(counts[v] * 2));
-    free(counts);
-    for (i64 i = 2; i < n; i++)
-        if (var[i] >= 0)
-            ut_insert(&m->ut[var[i]], low[i], high[i], (i32)i);
-    for (int t = 0; t < N_TABS; t++)
-        cache_clear(&m->tabs[t]);
-}
-
 i64 nat_num_nodes(Mgr *m) { return m->n; }
 
-void nat_read_rows(Mgr *m, i64 start, i64 count, i32 *var, i32 *low,
-                   i32 *high) {
-    memcpy(var, m->var + start, count * sizeof(i32));
-    memcpy(low, m->low + start, count * sizeof(i32));
-    memcpy(high, m->high + start, count * sizeof(i32));
+/* the current row buffers (var, low, high) and their length in rows */
+i64 nat_rows(Mgr *m, i32 **out) {
+    out[0] = m->var;
+    out[1] = m->low;
+    out[2] = m->high;
+    return m->cap;
 }
 
 void nat_invalidate_caches(Mgr *m) {
@@ -383,7 +430,9 @@ void nat_invalidate_caches(Mgr *m) {
 }
 
 /* stats layout: per table [hits, misses, evictions, entries] — absolute
- * monotone values (entries excepted), read by the Python cache views */
+ * monotone values (entries excepted), read by the Python cache views —
+ * then [nodes created, live, peak live] at STAT_NODES */
+#define STAT_NODES (N_TABS * 4)
 void nat_read_stats(Mgr *m, i64 *out) {
     for (int t = 0; t < N_TABS; t++) {
         out[t * 4 + 0] = m->tabs[t].hits;
@@ -391,14 +440,25 @@ void nat_read_stats(Mgr *m, i64 *out) {
         out[t * 4 + 2] = m->tabs[t].evictions;
         out[t * 4 + 3] = m->tabs[t].count;
     }
+    out[STAT_NODES + 0] = m->created;
+    out[STAT_NODES + 1] = m->live;
+    out[STAT_NODES + 2] = m->peak;
 }
 
+/* zero the cache counters; the peak restarts from the live count */
 void nat_reset_stats(Mgr *m) {
     for (int t = 0; t < N_TABS; t++) {
         m->tabs[t].hits = 0;
         m->tabs[t].misses = 0;
         m->tabs[t].evictions = 0;
     }
+    m->peak = m->live;
+}
+
+/* resident nodes per variable (its unique-table size) */
+void nat_var_sizes(Mgr *m, i64 *out) {
+    for (int v = 0; v < m->nvars; v++)
+        out[v] = m->ut[v].size;
 }
 
 /* ------------------------------------------------------------------ */
@@ -411,13 +471,13 @@ static i64 mk(Mgr *m, i32 var, i32 low, i32 high) {
     UT *t = &m->ut[var];
     u64 key = ((u64)(u32)low << 32) | (u32)high;
     u64 mask = t->mask;
-    u64 j = (((u64)(u32)low * H1) ^ (u32)high) & mask;
+    u64 j = ut_home(low, high, mask);
     for (;;) {
         u64 s = t->keys[j];
         if (s == key)
             return t->vals[j];
         if (s == 0)
-            break;
+            break; /* a tombstone is passed like any other key */
         j = (j + 1) & mask;
     }
     /* the budget check runs only when a new node is about to be created
@@ -433,8 +493,10 @@ static i64 mk(Mgr *m, i32 var, i32 low, i32 high) {
     m->high[id] = high;
     t->keys[j] = key;
     t->vals[j] = id;
-    if (++t->size * 3 >= (i64)(mask + 1) * 2)
-        ut_grow(t);
+    ut_count_insert(t);
+    m->created++;
+    if (++m->live > m->peak)
+        m->peak = m->live;
     return id;
 }
 
@@ -538,7 +600,7 @@ static i64 apply2(Mgr *m, int op, i32 f0_, i32 g0_) {
     root->f = f0_;
     root->g = g0_;
     /* NB: m->var / m->low / m->high are re-read through m every time —
-     * mk() may realloc the node arrays mid-loop */
+     * mk() may move the node arrays to new buffers mid-loop */
     i32 *v2l = m->v2l;
     while (m->fp > f_base) {
         Frame fr = m->fs[--m->fp];
@@ -897,9 +959,9 @@ abort:
 /* entry points                                                        */
 /* ------------------------------------------------------------------ */
 
-/* Ops return (num_nodes << 32) | result so the common no-new-nodes case
- * costs one FFI call; a budget abort returns -1 and the wrapper reads
- * nat_num_nodes to mirror the partial rows before raising. */
+/* Ops return (num_nodes << 32) | result, so one FFI call tells the
+ * wrapper both the result and whether its row views still cover every
+ * node; a budget abort returns -1. */
 static i64 pack(Mgr *m, i64 r) {
     if (r < 0)
         return -1;
@@ -1086,5 +1148,182 @@ i64 nat_restrict(Mgr *m, i32 f, const i32 *pairs, i32 npairs, i32 start,
     return pack(m, do_restrict(m, pairs, npairs, (u64)pid));
 }
 
+/* ------------------------------------------------------------------ */
+/* garbage collection                                                  */
+/* ------------------------------------------------------------------ */
+
+/* Rewrite the rows densely in id order (terminals stay put), writing the
+ * old->new id map to remap (-1 for a dead row), and rebuild every unique
+ * table from the dense rows. */
+static void compact(Mgr *m, const unsigned char *marked, i32 *remap) {
+    i64 n = m->n;
+    i32 next = 0;
+    for (i64 i = 0; i < n; i++)
+        remap[i] = marked[i] ? next++ : -1;
+    /* new ids never exceed old ones, so the rewrite runs in place */
+    for (i64 i = 2; i < n; i++) {
+        if (!marked[i])
+            continue;
+        i32 k = remap[i];
+        m->var[k] = m->var[i];
+        m->low[k] = remap[m->low[i]];
+        m->high[k] = remap[m->high[i]];
+    }
+    m->n = next;
+    m->dead_rows = 0;
+    i64 *counts = (i64 *)calloc(m->nvars ? m->nvars : 1, sizeof(i64));
+    for (i64 i = 2; i < next; i++)
+        counts[m->var[i]]++;
+    for (int v = 0; v < m->nvars; v++)
+        ut_reset(&m->ut[v], counts[v]);
+    free(counts);
+    for (i64 i = 2; i < next; i++)
+        ut_insert(&m->ut[m->var[i]], m->low[i], m->high[i], (i32)i);
+}
+
+/* Mark from the nroots external roots, tombstone every dead unique-table
+ * entry and zero its row (ids untouched), and compact once the dead rows
+ * are at least half the rows.  remap must hold nat_num_nodes() entries;
+ * it is written only when the store compacts.  Returns
+ * (reclaimed << 1) | compacted.  Drops the computed caches and frees the
+ * retired row buffers. */
+i64 nat_gc(Mgr *m, const i32 *roots, i64 nroots, i32 *remap) {
+    i64 n = m->n;
+    unsigned char *marked = (unsigned char *)calloc(n, 1);
+    marked[FALSE_ID] = 1;
+    marked[TRUE_ID] = 1;
+    /* the result stack is idle between operations: reuse it as the
+     * mark stack (terminals and zeroed dead rows are pre-marked, so
+     * their children are never pushed) */
+    i64 r_base = m->rp;
+    for (i64 i = 0; i < nroots; i++)
+        rpush(m, roots[i]);
+    while (m->rp > r_base) {
+        i32 f = m->rs[--m->rp];
+        if (marked[f])
+            continue;
+        marked[f] = 1;
+        if (!marked[m->low[f]])
+            rpush(m, m->low[f]);
+        if (!marked[m->high[f]])
+            rpush(m, m->high[f]);
+    }
+    i64 reclaimed = 0;
+    for (int v = 0; v < m->nvars; v++) {
+        UT *t = &m->ut[v];
+        if (!t->size)
+            continue;
+        i64 dead = 0;
+        for (u64 j = 0; j <= t->mask; j++) {
+            u64 key = t->keys[j];
+            if (!key || key == TOMB || marked[t->vals[j]])
+                continue;
+            i32 id = t->vals[j];
+            t->keys[j] = TOMB;
+            m->var[id] = TERMINAL_VAR;
+            m->low[id] = FALSE_ID;
+            m->high[id] = FALSE_ID;
+            dead++;
+        }
+        if (dead) {
+            t->size -= dead;
+            t->tombs += dead;
+            reclaimed += dead;
+            /* past a quarter tombstones, rehash at the same capacity */
+            if (t->tombs * 4 > (i64)(t->mask + 1))
+                ut_rehash(t, t->mask + 1);
+        }
+    }
+    m->live -= reclaimed;
+    m->dead_rows += reclaimed;
+    int compacted = m->dead_rows * 2 >= n;
+    if (compacted)
+        compact(m, marked, remap);
+    free(marked);
+    /* the budget counts live rows: dead rows still in the arrays extend
+     * the cap, as the object kernel's free list does */
+    set_node_cap(m);
+    nat_invalidate_caches(m);
+    free_retired(m);
+    return (reclaimed << 1) | compacted;
+}
+
+/* ------------------------------------------------------------------ */
+/* adjacent level swap                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Swap the variables at `level` and `level + 1` in place: the upper
+ * nodes that test the lower variable are rewritten under their own ids,
+ * in the upper table's slot order; no other node moves.  Returns
+ * num_nodes << 32, -1 on a budget abort or -2 when a rewritten node
+ * collides with another lower-table entry (the store is then corrupt).
+ * Drops the computed caches. */
+i64 nat_swap_levels(Mgr *m, i32 level) {
+    i32 upper = m->l2v[level];
+    i32 lower = m->l2v[level + 1];
+    UT *ut = &m->ut[upper];
+    UT *lt = &m->ut[lower];
+    i32 *moved = (i32 *)malloc((ut->size + 1) * sizeof(i32));
+    i32 *kept = (i32 *)malloc((ut->size + 1) * sizeof(i32));
+    i64 nmoved = 0, nkept = 0;
+    for (u64 j = 0; j <= ut->mask; j++) {
+        u64 key = ut->keys[j];
+        if (!key || key == TOMB)
+            continue;
+        i32 id = ut->vals[j];
+        if (m->var[m->low[id]] == lower || m->var[m->high[id]] == lower)
+            moved[nmoved++] = id;
+        else
+            kept[nkept++] = id;
+    }
+    if (nmoved) {
+        ut_reset(ut, nkept);
+        for (i64 i = 0; i < nkept; i++)
+            ut_insert(ut, m->low[kept[i]], m->high[kept[i]], kept[i]);
+    }
+    m->live -= nmoved;
+    /* commit the level exchange before mk builds the new upper nodes */
+    m->l2v[level] = lower;
+    m->l2v[level + 1] = upper;
+    m->v2l[upper] = level + 1;
+    m->v2l[lower] = level;
+    i64 status = 0;
+    for (i64 i = 0; i < nmoved; i++) {
+        i32 id = moved[i];
+        i32 f0 = m->low[id], f1 = m->high[id];
+        i32 f00 = f0, f01 = f0, f10 = f1, f11 = f1;
+        if (m->var[f0] == lower) {
+            f00 = m->low[f0];
+            f01 = m->high[f0];
+        }
+        if (m->var[f1] == lower) {
+            f10 = m->low[f1];
+            f11 = m->high[f1];
+        }
+        i64 nl = mk(m, upper, f00, f10);
+        i64 nh = nl < 0 ? -1 : mk(m, upper, f01, f11);
+        if (nh < 0) {
+            status = -1;
+            break;
+        }
+        m->var[id] = lower;
+        m->low[id] = (i32)nl;
+        m->high[id] = (i32)nh;
+        i32 existing = ut_lookup(lt, (i32)nl, (i32)nh);
+        if (existing >= 0 && existing != id) {
+            status = -2;
+            break;
+        }
+        if (existing < 0)
+            ut_insert(lt, (i32)nl, (i32)nh, id);
+        if (++m->live > m->peak)
+            m->peak = m->live;
+    }
+    free(moved);
+    free(kept);
+    nat_invalidate_caches(m);
+    return status < 0 ? status : m->n << 32;
+}
+
 /* a tiny self-check hook so the loader can verify the ABI */
-i64 nat_abi_version(void) { return 2; }
+i64 nat_abi_version(void) { return 3; }

@@ -182,6 +182,18 @@ class BddNode:
         return f"<BDD node {self.id} var={self.manager.var_name_of(self.id)}>"
 
 
+def _node_counts(state: dict) -> tuple[int, int, int]:
+    """``(created, live, peak)`` internal nodes of a manager's ``__dict__``.
+
+    A native manager keeps its node store, and so these counts, in C;
+    its ``_kernel`` handle reads them.
+    """
+    kernel = state.get("_kernel")
+    if kernel is not None:
+        return kernel.node_counts()
+    return state["_nodes_created"], state["_nodes_live"], state["_peak_live"]
+
+
 def _bdd_engine_counters(state: dict) -> dict[str, float]:
     """Monotone ``bdd.*`` totals from a manager's ``__dict__``.
 
@@ -202,7 +214,7 @@ def _bdd_engine_counters(state: dict) -> dict[str, float]:
         "bdd.cache_hits": float(hits),
         "bdd.cache_misses": float(misses),
         "bdd.cache_evictions": float(evictions),
-        "bdd.nodes_created": float(state["_nodes_created"]),
+        "bdd.nodes_created": float(_node_counts(state)[0]),
         "bdd.gc_runs": float(state["_gc_runs"]),
         "bdd.gc_reclaimed": float(state["_gc_reclaimed"]),
         "bdd.level_swaps": float(state["_level_swaps"]),
@@ -212,10 +224,8 @@ def _bdd_engine_counters(state: dict) -> dict[str, float]:
 
 def _bdd_engine_gauges(state: dict) -> dict[str, float]:
     """Instantaneous values, summed over live managers only."""
-    return {
-        "bdd.nodes_live": float(state["_nodes_live"]),
-        "bdd.peak_live": float(state["_peak_live"]),
-    }
+    _, live, peak = _node_counts(state)
+    return {"bdd.nodes_live": float(live), "bdd.peak_live": float(peak)}
 
 
 _TELEMETRY = EngineTelemetry("bdd", _bdd_engine_counters, _bdd_engine_gauges)
@@ -432,7 +442,7 @@ class BddManager:
         Maintained incrementally by ``_mk`` / GC / level swaps, so reading
         it is O(1) — it is consulted on every auto-reorder safe point.
         """
-        return 2 + self._nodes_live
+        return 2 + _node_counts(self.__dict__)[1]
 
     def size(self, node: BddNode) -> int:
         """Number of nodes in the DAG rooted at ``node`` (incl. terminals)."""
@@ -636,7 +646,7 @@ class BddManager:
         if (
             self.auto_reorder
             and not self._reordering
-            and self._nodes_live + 2 > self.reorder_threshold
+            and self.num_nodes > self.reorder_threshold
         ):
             from repro.bdd.reorder import sift
 
@@ -800,7 +810,10 @@ class BddManager:
             tab.put(key, result)
             return result
 
-        return rec(f)
+        try:
+            return rec(f)
+        finally:
+            del rec  # rec refers to itself and to self: break the cycle
 
     # -- fused quantifier-apply operators -------------------------------
     def _check_mine(self, f: BddNode, g: BddNode) -> None:
@@ -884,7 +897,10 @@ class BddManager:
             tab.put(key, result)
             return result
 
-        return rec(f, g)
+        try:
+            return rec(f, g)
+        finally:
+            del rec  # rec refers to itself and to self: break the cycle
 
     def _and_forall(self, f: int, g: int, levels: tuple[int, ...]) -> int:
         if not levels:
@@ -943,7 +959,10 @@ class BddManager:
             tab.put(key, result)
             return result
 
-        return rec(f, g)
+        try:
+            return rec(f, g)
+        finally:
+            del rec  # rec refers to itself and to self: break the cycle
 
     # ------------------------------------------------------------------
     # satisfiability / enumeration
@@ -1001,7 +1020,10 @@ class BddManager:
         if node.id <= TRUE:
             return node.id * (1 << nvars)
         top_gap = min(self._level(node.id), nlevels)
-        total = count(node.id) << top_gap
+        try:
+            total = count(node.id) << top_gap
+        finally:
+            del count  # count refers to itself and to self: break the cycle
         # count() assumed one variable per level; rescale to requested nvars
         shift = nvars - len(self._level2var)
         if shift >= 0:
@@ -1047,7 +1069,10 @@ class BddManager:
                     continue
                 yield from walk(child, new_partial)
 
-        yield from walk(node.id, {})
+        try:
+            yield from walk(node.id, {})
+        finally:
+            del walk  # walk refers to itself and to self: break the cycle
 
     def support(self, node: BddNode) -> set[str]:
         """Names of the variables the function depends on."""
@@ -1083,7 +1108,10 @@ class BddManager:
             yield from walk(self._high[f], partial)
             del partial[name]
 
-        yield from walk(node.id, {})
+        try:
+            yield from walk(node.id, {})
+        finally:
+            del walk  # walk refers to itself and to self: break the cycle
 
     def from_cube(self, literals: Mapping[str, int]) -> BddNode:
         """The conjunction of the given literals."""
@@ -1130,6 +1158,7 @@ class BddManager:
             total_hits += tab.hits
             total_misses += tab.misses
         lookups = total_hits + total_misses
+        created, live, peak = _node_counts(self.__dict__)
         return {
             "ops": ops,
             "caches": caches,
@@ -1137,9 +1166,9 @@ class BddManager:
             "cache_misses": total_misses,
             "cache_hit_rate": (total_hits / lookups) if lookups else 0.0,
             "cache_generation": self._generation,
-            "nodes_created": self._nodes_created,
-            "live_nodes": self._nodes_live + 2,
-            "peak_live_nodes": self._peak_live + 2,
+            "nodes_created": created,
+            "live_nodes": live + 2,
+            "peak_live_nodes": peak + 2,
             "num_vars": self.num_vars,
             "gc_runs": self._gc_runs,
             "gc_reclaimed": self._gc_reclaimed,

@@ -100,7 +100,10 @@ def minimal_elements(node: BddNode, names: Sequence[str] | None = None) -> BddNo
         cache[key] = result
         return result
 
-    return m._wrap(rec(node.id, 0))
+    try:
+        return m._wrap(rec(node.id, 0))
+    finally:
+        del rec  # rec refers to itself and to m: break the cycle
 
 
 def maximal_elements(node: BddNode, names: Sequence[str] | None = None) -> BddNode:
@@ -133,7 +136,10 @@ def maximal_elements(node: BddNode, names: Sequence[str] | None = None) -> BddNo
         cache[key] = result
         return result
 
-    return m._wrap(rec(node.id, 0))
+    try:
+        return m._wrap(rec(node.id, 0))
+    finally:
+        del rec  # rec refers to itself and to m: break the cycle
 
 
 def is_monotone_increasing(node: BddNode, names: list[str] | None = None) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.bdd import BddManager, BddNode, create_manager, monotone_primes
+from repro.bdd import BddNode, create_manager, monotone_primes
 from repro.bdd.minimal import is_monotone_increasing
 from repro.bdd.reorder import sift
 from repro.core.leaves import LeafTimes, enumerate_leaf_times
@@ -67,7 +67,6 @@ class Approx1Analysis:
         network: Network,
         delays: DelayModel | None = None,
         output_required: Mapping[str, float] | float = 0.0,
-        manager: BddManager | None = None,
         max_nodes: int | None = None,
         reorder: bool = False,
         max_leaves: int = 50_000,
@@ -83,7 +82,7 @@ class Approx1Analysis:
             self.leaves: LeafTimes = enumerate_leaf_times(
                 self.unrolling, self.output_required, max_leaves=max_leaves
             )
-        self.manager = manager or create_manager(backend, max_nodes=max_nodes)
+        self.manager = create_manager(backend, max_nodes=max_nodes)
         self.reorder = reorder
         self.check_theorems = check_theorems
         self._built: tuple[BddNode, dict[tuple[str, int], list[str]]] | None = None
@@ -110,8 +109,7 @@ class Approx1Analysis:
         # quantification local and measurably cheaper on arithmetic
         # circuits (~2x node count on the carry-skip suite).
         for pi in net.inputs:
-            if not m.has_var(pi):
-                m.add_var(pi)
+            m.add_var(pi)
         chains: dict[tuple[str, int], list[str]] = {}
         for pi in net.inputs:
             for value, table, greek in (
@@ -122,8 +120,7 @@ class Approx1Analysis:
                 names = []
                 for j in range(1, len(times) + 1):
                     name = f"{greek}[{pi},{j}]"
-                    if not m.has_var(name):
-                        m.add_var(name)
+                    m.add_var(name)
                     names.append(name)
                 chains[(pi, value)] = names
 

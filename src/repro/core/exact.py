@@ -69,7 +69,6 @@ class ExactAnalysis:
         network: Network,
         delays: DelayModel | None = None,
         output_required: Mapping[str, float] | float = 0.0,
-        manager: BddManager | None = None,
         max_nodes: int | None = None,
         reorder: bool = False,
         max_leaves: int = 50_000,
@@ -95,7 +94,7 @@ class ExactAnalysis:
             self.leaves: LeafTimes = enumerate_leaf_times(
                 self.unrolling, self.output_required, max_leaves=max_leaves
             )
-        self.manager = manager or create_manager(
+        self.manager = create_manager(
             backend,
             max_nodes=max_nodes,
             auto_reorder=reorder,
@@ -129,15 +128,13 @@ class ExactAnalysis:
         leaf_vars: list[LeafVar] = []
         leaf_index: dict[tuple[str, int, float], LeafVar] = {}
         for pi in net.inputs:
-            if not m.has_var(pi):
-                m.add_var(pi)
+            m.add_var(pi)
             if pi in known:
                 continue
             for value, table in ((1, self.leaves.for_one), (0, self.leaves.for_zero)):
                 for t in table.get(pi, ()):
                     name = f"chi[{pi},{value},{t:g}]"
-                    if not m.has_var(name):
-                        m.add_var(name)
+                    m.add_var(name)
                     lv = LeafVar(pi, value, t, name)
                     leaf_vars.append(lv)
                     leaf_index[(pi, value, t)] = lv

@@ -33,6 +33,7 @@ from repro.network.transform import fanin_network, fanout_network
 from repro.network.verify import global_functions
 from repro.timing.chi import ChiEngine, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
+from repro.timing.topological import arrival_map
 
 
 @dataclass
@@ -69,11 +70,9 @@ def _first_stable_classes(
 
     Returns ``(nfi, manager, classes)``.
     """
+    known = arrival_map(network, input_arrivals)
     nfi = fanin_network(network, boundary)
-    fanin_inputs = set(nfi.inputs)
-    arrivals = {
-        pi: t for pi, t in (input_arrivals or {}).items() if pi in fanin_inputs
-    }
+    arrivals = {pi: known[pi] for pi in nfi.inputs}
     engine = ChiEngine(nfi, delays, arrivals)
     m = engine.manager
     cands = candidate_times(nfi, delays, arrivals)
@@ -190,7 +189,6 @@ def _fanout_relation(
     delays: DelayModel,
     output_required: Mapping[str, float] | float,
     input_arrivals: Mapping[str, object] | None,
-    manager: BddManager | None = None,
     max_nodes: int | None = None,
 ) -> ExactRelation:
     """The exact Section 4.1 relation on N_FO: leaf χ variables only at
@@ -200,19 +198,16 @@ def _fanout_relation(
     input of N_FO; nothing outside the subcircuit observes it, so the
     relation has no variable for it.
     """
+    arrivals = arrival_map(network, input_arrivals)
     nfo = fanout_network(network, boundary)
     cut = set(boundary)
-    arrivals = input_arrivals or {}
     return ExactAnalysis(
         nfo,
         delays,
         output_required,
-        manager=manager,
         max_nodes=max_nodes,
         max_leaves=100_000,
-        known_arrivals={
-            pi: arrivals.get(pi, 0.0) for pi in nfo.inputs if pi not in cut
-        },
+        known_arrivals={pi: arrivals[pi] for pi in nfo.inputs if pi not in cut},
     ).relation()
 
 
@@ -223,7 +218,6 @@ def required_flexibility(
     output_required: Mapping[str, float] | float = 0.0,
     input_arrivals: Mapping[str, float] | None = None,
     max_boundary: int = 10,
-    manager: BddManager | None = None,
     max_nodes: int | None = None,
 ) -> RequiredFlexibility:
     """Compute the Section 5.2 required-time relation at boundary V.
@@ -241,7 +235,7 @@ def required_flexibility(
         )
     relation = _fanout_relation(
         network, boundary, delays or unit_delay(), output_required,
-        input_arrivals, manager, max_nodes,
+        input_arrivals, max_nodes,
     )
     m = relation.manager
     nfo_inputs = relation.network.inputs

@@ -32,7 +32,12 @@ from repro.network.transform import fanin_network, fanout_network
 from repro.timing.chi import ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
-from repro.timing.topological import arrival_times, required_map, required_times
+from repro.timing.topological import (
+    arrival_map,
+    arrival_times,
+    required_map,
+    required_times,
+)
 
 
 @dataclass
@@ -73,20 +78,19 @@ def true_slack(
     if n.is_input:
         raise TimingError(f"{node!r} is a primary input; cut it differently")
 
-    topo_arr = arrival_times(network, delays, input_arrivals)[node]
+    arrivals = arrival_map(network, input_arrivals)
+    topo_arr = arrival_times(network, delays, arrivals)[node]
     topo_req = required_times(network, delays, output_required)[node]
 
     # forward: exact arrival on the fanin cone
     nfi = fanin_network(network, [node])
-    fi_arrivals = {
-        pi: t for pi, t in (input_arrivals or {}).items() if pi in set(nfi.inputs)
-    }
+    fi_arrivals = {pi: arrivals[pi] for pi in nfi.inputs}
     ft_in = FunctionalTiming(nfi, delays, fi_arrivals, engine=engine)
     t_arrival = ft_in.true_arrival(node)
 
     # backward: latest safe arrival of the node in N_FO
     t_required = _true_required(
-        network, node, delays, input_arrivals, output_required, engine
+        network, node, delays, arrivals, output_required, engine
     )
 
     return SlackReport(
@@ -102,7 +106,7 @@ def _true_required(
     network: Network,
     node: str,
     delays: DelayModel,
-    input_arrivals: Mapping[str, float] | None,
+    arrivals: Mapping[str, object],
     output_required: Mapping[str, float] | float,
     engine: Literal["bdd", "sat"],
 ) -> float:
@@ -115,14 +119,12 @@ def _true_required(
         return math.inf  # the node never constrains any output
 
     # scalar or (arr0, arr1) entries, passed through to the χ engines
-    base_arrivals = {
-        pi: (input_arrivals or {}).get(pi, 0.0) for pi in nfo.inputs if pi != node
-    }
+    base_arrivals = {pi: arrivals[pi] for pi in nfo.inputs if pi != node}
 
     def valid(r: float) -> bool:
-        arrivals = dict(base_arrivals)
-        arrivals[node] = r
-        ft = FunctionalTiming(nfo, delays, arrivals, engine=engine)
+        probe = dict(base_arrivals)
+        probe[node] = r
+        ft = FunctionalTiming(nfo, delays, probe, engine=engine)
         return ft.all_stable_by(req)
 
     if not valid(axis[0]):

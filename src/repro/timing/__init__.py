@@ -30,6 +30,7 @@ from repro.timing.delay import (
 )
 from repro.timing.topological import (
     TopologicalTiming,
+    arrival_map,
     arrival_times,
     required_map,
     required_time_bounds,
@@ -75,6 +76,7 @@ __all__ = [
     "unit_delay",
     "unit_interval_delay",
     "TopologicalTiming",
+    "arrival_map",
     "arrival_times",
     "required_map",
     "required_time_bounds",

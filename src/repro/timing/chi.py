@@ -42,6 +42,7 @@ from repro.network.verify import global_functions
 from repro.obs.trace import span
 from repro.sat import Cnf, Solver
 from repro.timing.delay import DelayModel, unit_delay
+from repro.timing.topological import arrival_map
 
 #: one (signal, value, time) triple of the recursion
 Triple = tuple[str, int, float]
@@ -197,11 +198,7 @@ class ChiEngine(ChiBdd):
         arrivals: Mapping[str, object] | None = None,
         manager: BddManager | None = None,
     ):
-        known: dict[str, object] = {pi: 0.0 for pi in network.inputs}
-        for name, t in (arrivals or {}).items():
-            if name not in known:
-                raise TimingError(f"arrival time for non-input {name!r}")
-            known[name] = t
+        known = arrival_map(network, arrivals)
         manager = manager or create_manager()
         for pi in network.inputs:
             if not manager.has_var(pi):
@@ -371,7 +368,7 @@ def candidate_times(
     exponential blowup possible with irrational delay mixes.
     """
     delays = delays or unit_delay()
-    arrivals = arrivals or {}
+    arrivals = arrival_map(network, arrivals)
     times: dict[str, list[float]] = {}
     with span("chi.candidate_times", nodes=len(network.nodes)):
         _candidate_times_into(network, delays, arrivals, max_per_node, times)
@@ -389,7 +386,7 @@ def _candidate_times_into(
     for name in network.topological_order():
         node = network.nodes[name]
         if node.is_input:
-            times[name] = sorted(set(_arrival_pair(arrivals.get(name, 0.0))))
+            times[name] = sorted(set(_arrival_pair(arrivals[name])))
             continue
         gate_delays = {delays.of_value(name, 0), delays.of_value(name, 1)}
         merged: set[float] = set()

@@ -27,6 +27,7 @@ from repro.obs.trace import span
 from repro.timing.chi import ChiEngine, ChiSat, ChiUnrolling, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import (
+    arrival_map,
     arrival_times as topo_arrival_times,
     required_map,
 )
@@ -51,9 +52,7 @@ class FunctionalTiming:
         self.delays = delays or unit_delay()
         # scalar or per-value (arr_for_0, arr_for_1) entries; normalization
         # happens in the χ engines
-        self.arrivals = {
-            pi: (arrivals or {}).get(pi, 0.0) for pi in network.inputs
-        }
+        self.arrivals = arrival_map(network, arrivals)
         self.engine = engine
         self.max_conflicts = max_conflicts
         self._chi: ChiEngine | None = None

@@ -26,10 +26,11 @@ def arrival_times(
 ) -> dict[str, float]:
     """Topological (longest-path) arrival time of every node.
 
-    ``input_arrivals`` defaults to 0 at every primary input.
+    ``input_arrivals`` defaults to 0 at every primary input (see
+    :func:`arrival_map`).
     """
     delays = delays or unit_delay()
-    input_arrivals = input_arrivals or {}
+    input_arrivals = arrival_map(network, input_arrivals)
     arr: dict[str, float] = {}
     with span("topo.arrival", nodes=len(network.nodes)):
         _arrival_into(network, delays, input_arrivals, arr)
@@ -46,7 +47,7 @@ def _arrival_into(
     for name in network.topological_order():
         node = network.nodes[name]
         if node.is_input:
-            given = input_arrivals.get(name, 0.0)
+            given = input_arrivals[name]
             if isinstance(given, (tuple, list)):
                 # per-value arrival pair: longest-path analysis is
                 # conservative, so take the later of the two
@@ -89,6 +90,23 @@ def required_times(
                 if here - d < req[fanin]:
                     req[fanin] = here - d
     return req
+
+
+def arrival_map(
+    network: Network, arrivals: Mapping[str, object] | None
+) -> dict[str, object]:
+    """The primary-input arrival times as an explicit per-input map.
+
+    The single normalization every arrival-side entry point uses: every
+    primary input gets an entry — 0.0 by default, else the scalar or
+    ``(arr_for_0, arr_for_1)`` pair given — and a name that is not a
+    primary input raises :class:`TimingError`.
+    """
+    arrivals = arrivals or {}
+    extra = set(arrivals) - set(network.inputs)
+    if extra:
+        raise TimingError(f"arrival times given for non-inputs {sorted(extra)}")
+    return {pi: arrivals.get(pi, 0.0) for pi in network.inputs}
 
 
 def required_map(

@@ -1,12 +1,13 @@
-"""Unit tests for the flat-array node store and the backend API.
+"""Unit tests for the native node store and the backend API.
 
-The native kernel's Python half keeps the node store as flat arrays:
-open-addressed unique tables (growth, rehash, tombstones) and a
-tombstone-first mark/sweep/compact garbage collector with live-handle
-remapping.  This file targets that machinery, the backend registry, and
-object-vs-native parity at its sharpest points (fused quantifiers, the
-paper's example rows, budget aborts).  Row parity on generated circuits
-is the fuzzer's ``bdd-backend-parity`` check.
+The C kernel owns the node store as flat arrays: open-addressed unique
+tables with tombstones and a tombstone-first mark/sweep/compact garbage
+collector whose old→new remap Python applies to the live handles; Python
+reads the rows through views of the C arrays.  This file targets that
+machinery, the backend registry, and object-vs-native parity at its
+sharpest points (fused quantifiers, the paper's example rows, budget
+aborts).  Row parity on generated circuits is the fuzzer's
+``bdd-backend-parity`` check.
 """
 
 import pytest
@@ -23,8 +24,6 @@ from repro.bdd import (
 from repro.bdd.api import BACKEND_ENV
 from repro.bdd.native_backend import (
     NativeBddManager,
-    _rehash,
-    _UniqueTable,
     create_native_manager,
     native_status,
 )
@@ -33,7 +32,7 @@ from repro.errors import BddError, ResourceLimitError
 HAVE_KERNEL = native_status()[0]
 
 needs_kernel = pytest.mark.skipif(
-    not HAVE_KERNEL, reason="native kernel unavailable (no C compiler or numpy?)"
+    not HAVE_KERNEL, reason="native kernel unavailable (no C compiler?)"
 )
 
 
@@ -82,67 +81,6 @@ class TestBackendApi:
 
 
 # ----------------------------------------------------------------------
-# open-addressed unique tables
-# ----------------------------------------------------------------------
-class TestUniqueTable:
-    def test_insert_and_grow_preserves_entries(self):
-        ut = _UniqueTable(8)
-        pairs = [(2 + i, 3 + 2 * i) for i in range(500)]
-        for nid, (low, high) in enumerate(pairs, start=2):
-            ut.insert(low, high, nid)
-        assert ut.size == len(pairs)
-        assert len(ut.keys) > 8  # grew
-        resident = {}
-        for j, key in enumerate(ut.keys):
-            if key > 0:
-                resident[key] = ut.vals[j]
-        assert resident == {
-            (low << 32) | high: nid for nid, (low, high) in enumerate(pairs, start=2)
-        }
-
-    @pytest.mark.parametrize("slots", [1024, 8192])
-    def test_rehash_python_and_numpy_paths_agree(self, slots):
-        # below 4096 slots _rehash takes the scalar path, above it the
-        # vectorized one; both must carry exactly the resident entries
-        import random
-
-        if slots >= 4096:
-            pytest.importorskip("numpy")
-
-        rng = random.Random(7)
-        keys = [0] * slots
-        vals = [0] * slots
-        resident = {}
-        for j in rng.sample(range(slots), slots // 3):
-            if rng.random() < 0.2:
-                keys[j] = -1  # tombstone: must be dropped
-            else:
-                packed = (rng.randrange(1, 1 << 31) << 32) | rng.randrange(1, 1 << 31)
-                keys[j] = packed
-                resident[packed] = j
-        new_keys, new_vals = _rehash(keys, vals, slots * 2)
-        assert len(new_keys) == slots * 2
-        assert -1 not in new_keys
-        assert {k for k in new_keys if k > 0} == set(resident)
-        # every entry must be reachable by a linear probe from its home
-        mask = slots * 2 - 1
-        for packed in resident:
-            j = (((packed >> 32) * 0x9E3779B1) ^ (packed & 0xFFFFFFFF)) & mask
-            while new_keys[j] != packed:
-                assert new_keys[j] != 0, "probe chain broken"
-                j = (j + 1) & mask
-
-    def test_reset_never_shrinks(self):
-        ut = _UniqueTable(8)
-        for i in range(200):
-            ut.insert(2 + i, 3 + i, 2 + i)
-        slots = len(ut.keys)
-        ut.reset(1)
-        assert len(ut.keys) >= slots
-        assert ut.size == 0 and ut.tombs == 0
-
-
-# ----------------------------------------------------------------------
 # garbage collection: tombstone sweep, compaction, handle remapping
 # ----------------------------------------------------------------------
 def _build_funcs(m, nvars=10, cubes=120, seed=11):
@@ -171,10 +109,11 @@ class TestGarbageCollect:
         keep = funcs[:5]  # most remaining nodes stay live -> no compaction
         sizes = [m.size(f) for f in keep]
         ids = [f.id for f in keep]
+        rows = m._num_rows()
         del funcs
         reclaimed = m.garbage_collect()
         assert reclaimed > 0
-        assert m._dead_rows == reclaimed  # swept in place, not compacted
+        assert m._num_rows() == rows  # swept in place, not compacted
         assert [f.id for f in keep] == ids
         assert [m.size(f) for f in keep] == sizes
 
@@ -184,17 +123,16 @@ class TestGarbageCollect:
         keep = funcs[0]
         sat = m.sat_count(keep, nvars=10)
         size = m.size(keep)
-        rows_before = len(m._var)
+        rows_before = m._num_rows()
         del funcs  # drop everything but ``keep`` -> compaction fires
         reclaimed = m.garbage_collect()
         assert reclaimed > 0
-        assert m._dead_rows == 0
-        assert len(m._var) < rows_before  # arrays actually shrank
+        assert m._num_rows() < rows_before  # the rows were compacted
         # the handle was remapped and the function survived bit-exactly
         assert m.size(keep) == size
         assert m.sat_count(keep, nvars=10) == sat
         # post-compaction every row is reachable (incl. the 2 terminals)
-        assert m.live_node_count() == len(m._var)
+        assert m.live_node_count() == m._num_rows()
 
     def test_gc_then_rebuild_reuses_reclaimed_budget(self):
         # the node budget counts *live* rows: after a sweep the dead rows
@@ -228,6 +166,59 @@ class TestGarbageCollect:
         assert st["gc_runs"] == 1
         assert st["gc_reclaimed"] == reclaimed
         assert st["live_nodes"] == m.live_node_count()
+
+
+# ----------------------------------------------------------------------
+# row views over the C arrays
+# ----------------------------------------------------------------------
+@needs_kernel
+class TestRowViews:
+    def test_views_follow_growth_and_outgrown_ones_die_at_gc(self):
+        m = NativeBddManager()
+        first = m._var
+        funcs = _build_funcs(m)  # grows the store past its first buffer
+        assert m._var is not first and len(m._var) > len(first)
+        assert first[0] == -1  # an outgrown buffer stays readable ...
+        assert m.var_name_of(funcs[0].id).startswith("x")
+        m.garbage_collect()
+        with pytest.raises(ValueError):
+            first[0]  # ... until the collection that frees it
+        assert m.var_name_of(funcs[0].id).startswith("x")
+
+    def test_gc_after_an_unseen_growth_releases_the_old_views(self):
+        # a budget abort returns no node count, so one operation can
+        # outgrow the views and fail without Python seeing the growth;
+        # the collection that frees the outgrown buffer must still view
+        # the current one and release the old views
+        import random
+
+        m = NativeBddManager(max_nodes=1100)
+        vs = [m.add_var(f"x{i}") for i in range(14)]
+        f = m.conjoin([vs[i].equiv(vs[i + 7]) for i in range(7)])
+        g = m.conjoin([vs[i].equiv(vs[13 - i]) for i in range(7)])
+        rng = random.Random(3)
+        # live padding cubes bring the store to 944 rows
+        pads = [
+            m.conjoin([v if rng.random() < 0.5 else ~v for v in rng.sample(vs, 10)])
+            for _ in range(12)
+        ]
+        first = m._var
+        assert m._num_rows() < len(first)
+        with pytest.raises(ResourceLimitError):
+            f ^ g  # grows the store past the first buffer, then aborts
+        assert m._var is first and m._num_rows() > len(first)
+        m.garbage_collect()
+        with pytest.raises(ValueError):
+            first[0]
+        assert m._var is not first
+        assert m.sat_count(f, nvars=14) == 2**7
+        assert len(pads) == 12
+
+    def test_views_are_read_only(self):
+        m = NativeBddManager()
+        m.add_var("a")
+        with pytest.raises(TypeError):
+            m._low[2] = 1
 
 
 # ----------------------------------------------------------------------

@@ -387,3 +387,39 @@ class TestComputedTableEviction:
         g = (a & b) | (b & c) | (a & c)
         assert f == g
         assert mgr.sat_count(f, 3) == 4
+
+
+class TestManagerLifetime:
+    """A finished analysis frees its manager, and with it the node store,
+    by reference counting alone: no recursive helper may keep a reference
+    cycle through the manager (which would wait for the cycle collector)."""
+
+    @pytest.mark.parametrize("backend", ["object", "native"])
+    @pytest.mark.parametrize("method", ["exact", "approx1"])
+    def test_manager_freed_without_cycle_collector(self, backend, method):
+        import gc
+        import weakref
+
+        from repro.circuits import mcnc_suite
+        from repro.core.approx1 import Approx1Analysis
+        from repro.core.exact import ExactAnalysis
+
+        net = {s.name: s for s in mcnc_suite()}["m1"].network
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            if method == "exact":
+                analysis = ExactAnalysis(net, output_required=0.0, backend=backend)
+                relation = analysis.relation()
+                result = relation.required_tuples({x: 0 for x in net.inputs})
+                del relation
+            else:
+                analysis = Approx1Analysis(net, output_required=0.0, backend=backend)
+                result = analysis.run()
+            ref = weakref.ref(analysis.manager)
+            del analysis, result
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -13,7 +13,7 @@ from repro.core.flexibility import (
 )
 from repro.core.required_time import INF
 from repro.core.trueslack import true_slack
-from repro.errors import ResourceLimitError
+from repro.errors import ResourceLimitError, TimingError
 from repro.timing import arrival_times
 
 
@@ -96,6 +96,36 @@ class TestRequiredFlexibility:
         with pytest.raises(ResourceLimitError):
             required_flexibility(
                 figure4(), ["w"], output_required=2.0, max_boundary=0
+            )
+
+
+class TestArrivalNames:
+    """An arrival time for a name that is not a primary input of the whole
+    network is rejected before the cut restricts the inputs to N_FI or
+    N_FO, where it used to vanish silently."""
+
+    def test_required_flexibility(self):
+        with pytest.raises(TimingError, match="x9"):
+            required_flexibility(
+                figure4(), ["w"], output_required=2.0, input_arrivals={"x9": 5.0}
+            )
+
+    def test_arrival_flexibility(self):
+        with pytest.raises(TimingError, match="x9"):
+            arrival_flexibility(figure4(), ["w"], input_arrivals={"x9": 5.0})
+
+    def test_coupled_flexibility(self):
+        with pytest.raises(TimingError, match="x9"):
+            coupled_flexibility(
+                figure4(), ["w"], ["w"], input_arrivals={"x9": 5.0}
+            )
+
+    def test_true_slack(self):
+        from repro.circuits import c17
+
+        with pytest.raises(TimingError, match="G99"):
+            true_slack(
+                c17(), "G10", input_arrivals={"G99": 4.0}, output_required=3.0
             )
 
 

@@ -126,6 +126,14 @@ class TestCandidateTimes:
         times = candidate_times(net, arrivals={"x2": 0.5})
         assert times["z"] == [1.5, 2.0, 2.5]
 
+    def test_non_input_arrival_rejected(self):
+        with pytest.raises(TimingError, match="x9"):
+            candidate_times(fig4(), arrivals={"x9": 0.5})
+
+    def test_functional_timing_rejects_non_input_arrival(self):
+        with pytest.raises(TimingError, match="x9"):
+            FunctionalTiming(fig4(), arrivals={"x9": 0.5})
+
 
 class TestStability:
     @pytest.mark.parametrize("engine", ["bdd", "sat"])

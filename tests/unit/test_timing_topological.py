@@ -9,6 +9,7 @@ from repro.network import Network
 from repro.timing import (
     DelayModel,
     TopologicalTiming,
+    arrival_map,
     arrival_times,
     required_times,
     slacks,
@@ -87,6 +88,19 @@ class TestArrival:
         dm = DelayModel(default=1.0, overrides={"g2": 5.0})
         arr = arrival_times(net, dm)
         assert arr["g2"] == 6.0
+
+    def test_arrival_map_fills_every_input(self):
+        net = fig4()
+        assert arrival_map(net, None) == {pi: 0.0 for pi in net.inputs}
+        given = arrival_map(net, {"x2": (1.0, 3.0)})
+        assert given == {"x1": 0.0, "x2": (1.0, 3.0)}
+
+    def test_non_input_arrival_rejected(self):
+        # a typo'd input name is an error, not an input that arrives at 0
+        with pytest.raises(TimingError, match="x9"):
+            arrival_map(fig4(), {"x9": 5.0})
+        with pytest.raises(TimingError, match="x9"):
+            arrival_times(fig4(), None, {"x9": 5.0})
 
 
 class TestRequired:
