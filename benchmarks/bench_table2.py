@@ -10,7 +10,10 @@ validated, and the CPU time until the maximal r is found.  Shape targets:
 * the hard circuits (s3540, s6288 — the paper's "> 12 hours" rows) run
   under a smaller budget; a run that aborts on it must still report its
   first non-trivial time well inside the budget, the paper's observation
-  that useful information arrives within the first seconds.
+  that useful information arrives within the first seconds;
+* on ``carry_skip_adder(5, 4)``, a row that completes, both engines make
+  the same checks with the same verdicts, and the BDD engine's first
+  non-trivial r arrives before a tenth of its time to r_max.
 
 Run:  pytest benchmarks/bench_table2.py --benchmark-only -q
 """
@@ -19,7 +22,7 @@ import pytest
 
 from _harness import TableCollector
 from conftest import bench_budget
-from repro.circuits import iscas_suite
+from repro.circuits import carry_skip_adder, iscas_suite
 from repro.core.approx2 import Approx2Analysis
 
 SPECS = {spec.name: spec for spec in iscas_suite()}
@@ -66,6 +69,36 @@ def test_approx2(benchmark, name):
         result.time_to_max,
         "> budget" if result.aborted else "ok",
     )
+
+
+def test_carry_skip_first_r_early(benchmark):
+    """DESIGN.md success criterion 4 (the C3540/C6288 effect) on a row
+    that completes: the first non-trivial r long before the maximal one."""
+    net = carry_skip_adder(5, 4)
+    results = {}
+
+    def run():
+        for engine in ("bdd", "sat"):
+            results[engine] = Approx2Analysis(
+                net, output_required=0.0, engine=engine, time_budget=bench_budget(60.0)
+            ).run()
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    for engine, result in results.items():
+        assert not result.aborted, engine
+        TABLE.add(
+            f"cskip5x4[{engine}]",
+            "C3540/C6288 effect",
+            net.num_inputs,
+            result.nontrivial,
+            result.time_to_first_nontrivial,
+            result.time_to_max,
+            "ok",
+        )
+    bdd, sat = results["bdd"], results["sat"]
+    assert [ok for *_, ok in bdd.trace.events] == [ok for *_, ok in sat.trace.events]
+    assert bdd.maximal == sat.maximal
+    assert bdd.time_to_first_nontrivial < bdd.time_to_max / 10
 
 
 def test_zzz_shape_and_print(benchmark):

@@ -1255,7 +1255,8 @@ i64 nat_gc(Mgr *m, const i32 *roots, i64 nroots, i32 *remap) {
 /* Swap the variables at `level` and `level + 1` in place: the upper
  * nodes that test the lower variable are rewritten under their own ids,
  * in the upper table's slot order; no other node moves.  Returns
- * num_nodes << 32, -1 on a budget abort or -2 when a rewritten node
+ * num_nodes << 32, -1 on a budget abort (reported once the swap is
+ * finished, so the store stays canonical) or -2 when a rewritten node
  * collides with another lower-table entry (the store is then corrupt).
  * Drops the computed caches. */
 i64 nat_swap_levels(Mgr *m, i32 level) {
@@ -1288,6 +1289,8 @@ i64 nat_swap_levels(Mgr *m, i32 level) {
     m->v2l[upper] = level + 1;
     m->v2l[lower] = level;
     i64 status = 0;
+    i64 n0 = m->n, cap = m->node_cap;
+    m->node_cap = NO_CAP;
     for (i64 i = 0; i < nmoved; i++) {
         i32 id = moved[i];
         i32 f0 = m->low[id], f1 = m->high[id];
@@ -1301,11 +1304,7 @@ i64 nat_swap_levels(Mgr *m, i32 level) {
             f11 = m->high[f1];
         }
         i64 nl = mk(m, upper, f00, f10);
-        i64 nh = nl < 0 ? -1 : mk(m, upper, f01, f11);
-        if (nh < 0) {
-            status = -1;
-            break;
-        }
+        i64 nh = mk(m, upper, f01, f11);
         m->var[id] = lower;
         m->low[id] = (i32)nl;
         m->high[id] = (i32)nh;
@@ -1319,6 +1318,10 @@ i64 nat_swap_levels(Mgr *m, i32 level) {
         if (++m->live > m->peak)
             m->peak = m->live;
     }
+    m->node_cap = cap;
+    /* mk refuses a node while the rows already exceed the cap */
+    if (!status && m->n > n0 && m->n - 1 > cap)
+        status = -1;
     free(moved);
     free(kept);
     nat_invalidate_caches(m);

@@ -97,6 +97,7 @@ class Manager(Protocol):
 
     # -- maintenance / observability -----------------------------------
     def garbage_collect(self) -> int: ...
+    def maybe_garbage_collect(self) -> None: ...
     def swap_levels(self, level: int) -> None: ...
     def live_node_count(self) -> int: ...
     def level_sizes(self) -> list[int]: ...

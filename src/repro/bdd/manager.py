@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import BddError
+from repro.errors import BddError, ResourceLimitError
 from repro.obs.metrics import REGISTRY, EngineTelemetry
 
 FALSE = 0
@@ -412,8 +412,6 @@ class BddManager:
             self.max_nodes is not None
             and len(self._var) - len(self._free) > self.max_nodes
         ):
-            from repro.errors import ResourceLimitError
-
             raise ResourceLimitError(
                 f"BDD node budget exceeded ({self.max_nodes} nodes)"
             )
@@ -1234,6 +1232,12 @@ class BddManager:
         self._invalidate_caches()
         return reclaimed
 
+    def maybe_garbage_collect(self) -> None:
+        """The analyses' safe point between top-level operations: collect
+        past half of ``max_nodes``, or past 500 000 nodes without one."""
+        if self.num_nodes > (self.max_nodes // 2 if self.max_nodes else 500_000):
+            self.garbage_collect()
+
     # ------------------------------------------------------------------
     # reordering plumbing (used by repro.bdd.reorder)
     # ------------------------------------------------------------------
@@ -1242,7 +1246,8 @@ class BddManager:
 
         Node ids are preserved: only nodes labelled with the upper variable
         that reference the lower variable are rewritten.  All operation
-        caches are invalidated (generation bump).
+        caches are invalidated (generation bump).  A swap over
+        ``max_nodes`` finishes, so the store stays canonical, then raises.
         """
         if not 0 <= level < len(self._level2var) - 1:
             raise BddError(f"cannot swap level {level}")
@@ -1265,33 +1270,42 @@ class BddManager:
         self._var2level[upper] = level + 1
         self._var2level[lower] = level
 
-        for nid in interacting:
-            f0, f1 = self._low[nid], self._high[nid]
-            if self._var[f0] == lower:
-                f00, f01 = self._low[f0], self._high[f0]
-            else:
-                f00 = f01 = f0
-            if self._var[f1] == lower:
-                f10, f11 = self._low[f1], self._high[f1]
-            else:
-                f10 = f11 = f1
-            new_low = self._mk(upper, f00, f10)
-            new_high = self._mk(upper, f01, f11)
-            self._var[nid] = lower
-            self._low[nid] = new_low
-            self._high[nid] = new_high
-            key = (new_low, new_high)
-            if key in lower_table and lower_table[key] != nid:
-                raise BddError(
-                    "unique-table collision during swap; manager corrupted"
-                )
-            lower_table[key] = nid
-            self._nodes_live += 1
-            if self._nodes_live > self._peak_live:
-                self._peak_live = self._nodes_live
+        budget, self.max_nodes = self.max_nodes, None
+        before = len(self._var) - len(self._free)
+        try:
+            for nid in interacting:
+                f0, f1 = self._low[nid], self._high[nid]
+                if self._var[f0] == lower:
+                    f00, f01 = self._low[f0], self._high[f0]
+                else:
+                    f00 = f01 = f0
+                if self._var[f1] == lower:
+                    f10, f11 = self._low[f1], self._high[f1]
+                else:
+                    f10 = f11 = f1
+                new_low = self._mk(upper, f00, f10)
+                new_high = self._mk(upper, f01, f11)
+                self._var[nid] = lower
+                self._low[nid] = new_low
+                self._high[nid] = new_high
+                key = (new_low, new_high)
+                if key in lower_table and lower_table[key] != nid:
+                    raise BddError(
+                        "unique-table collision during swap; manager corrupted"
+                    )
+                lower_table[key] = nid
+                self._nodes_live += 1
+                if self._nodes_live > self._peak_live:
+                    self._peak_live = self._nodes_live
+        finally:
+            self.max_nodes = budget
 
         self._level_swaps += 1
         self._invalidate_caches()
+        # _mk refuses a node while the store already holds more than budget
+        after = len(self._var) - len(self._free)
+        if budget is not None and after > before and after - 1 > budget:
+            raise ResourceLimitError(f"BDD node budget exceeded ({budget} nodes)")
 
     def live_node_count(self) -> int:
         """Number of nodes reachable from externally referenced roots.

@@ -497,9 +497,12 @@ class NativeBddManager(BddManager):
         ret = self._kernel.lib.nat_swap_levels(self._c_mgr, level)
         if ret == -2:
             raise BddError("unique-table collision during swap; manager corrupted")
-        self._finish(ret)
         self._level_swaps += 1
         super()._invalidate_caches()  # C dropped its own tables
+        if ret < 0:
+            # finished over budget: the rows it rewrote may have moved
+            self._refresh_rows()
+        self._finish(ret)
 
     def level_sizes(self) -> list[int]:
         """Unique-table size per level (after GC this is the live profile)."""

@@ -151,9 +151,6 @@ class Approx1Analysis:
         x_vars = list(net.inputs)
 
         f = m.true
-        gc_threshold = (
-            self.manager.max_nodes // 2 if self.manager.max_nodes else 500_000
-        )
         with span("approx1.quantify_outputs", outputs=len(req)):
             for out, t in req.items():
                 on = onsets[out]
@@ -162,9 +159,8 @@ class Approx1Analysis:
                 # ∀X.(c1 ∧ c0) fused: never materializes the conjunction BDD
                 # (and equals ∀X.c1 ∧ ∀X.c0 since ∀ distributes over ∧)
                 f = f & m.and_forall(x_vars, c1, c0)
-                if m.num_nodes > gc_threshold:
-                    # safe point: everything needed is wrapper-protected
-                    m.garbage_collect()
+                # safe point: everything needed is wrapper-protected
+                m.maybe_garbage_collect()
 
         if self.check_theorems:
             with span("approx1.check_theorem1"):

@@ -32,7 +32,6 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
-from repro.timing.chi import ChiSat, ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
 from repro.timing.topological import required_map
@@ -133,7 +132,6 @@ class Approx2Analysis:
         self.network = network
         self.delays = delays or unit_delay()
         self.required = required_map(network, output_required)
-        self.engine = engine
         self.enumerate_all = enumerate_all
         self.max_solutions = max_solutions
         self.max_checks = max_checks
@@ -145,11 +143,11 @@ class Approx2Analysis:
         #: what lets the method see e.g. the Figure 4 looseness
         self.separate_values = separate_values
 
-        #: the one χ unrolling the inventory and every SAT oracle read
-        self.unrolling = ChiUnrolling(network, self.delays)
+        #: the stability engine of every check; its unrolling feeds the inventory
+        self.timing = FunctionalTiming(network, self.delays, engine=engine)
         with span("approx2.enumerate_leaves", circuit=network.name):
             self.leaves: LeafTimes = enumerate_leaf_times(
-                self.unrolling, self.required, max_leaves=max_leaves
+                self.timing.unrolling, self.required, max_leaves=max_leaves
             )
         if clustering < 1:
             raise TimingError("clustering stride must be >= 1")
@@ -190,10 +188,6 @@ class Approx2Analysis:
         }
         self._po_cache: dict[tuple, bool] = {}
         self._po_fails: dict[str, int] = {}
-        # SAT engine: one oracle per output for the whole climb, built on
-        # the output's first cache miss; each check only changes which
-        # leaf selectors are assumed
-        self._oracles: dict[str, ChiSat] = {}
 
     @staticmethod
     def _input_of(coord) -> str:
@@ -203,7 +197,7 @@ class Approx2Analysis:
     def _to_arrivals(self, r: Mapping) -> dict[str, object]:
         """Translate a lattice vector to per-input arrival times."""
         if not self.separate_values:
-            return dict(r)
+            return r
         return {
             pi: (r[(pi, 0)], r[(pi, 1)]) for pi in self.network.inputs
         }
@@ -260,21 +254,12 @@ class Approx2Analysis:
         if len(missing) > 1 and self._po_fails:
             fails = self._po_fails
             missing.sort(key=lambda item: fails.get(item[0], 0), reverse=True)
-        arrivals = self._to_arrivals(r)
-        if self.engine != "sat":
-            ft = FunctionalTiming(
-                self.network, self.delays, arrivals=arrivals, engine=self.engine
-            )
-        for po, t, key in missing:
-            if self.engine == "sat":
-                oracle = self._oracles.get(po)
-                if oracle is None:
-                    oracle = self._oracles[po] = ChiSat(self.unrolling, po, t)
-                verdict = oracle.stable_by(arrivals)
-            else:
-                verdict = ft.output_stable_by(po, t)
-            self._po_cache[key] = verdict
-            if not verdict:
+        failed = self.timing.first_unstable(
+            {po: t for po, t, _ in missing}, self._to_arrivals(r)
+        )
+        for po, _, key in missing:
+            self._po_cache[key] = po != failed
+            if po == failed:
                 self._po_fails[po] = self._po_fails.get(po, 0) + 1
                 return False
         return True
@@ -282,7 +267,7 @@ class Approx2Analysis:
     # ------------------------------------------------------------------
     def run(self) -> Approx2Result:
         with span(
-            "approx2.climb", circuit=self.network.name, engine=self.engine
+            "approx2.climb", circuit=self.network.name, engine=self.timing.engine
         ) as sp:
             result = self._run()
             sp.set(checks=result.checks, aborted=result.aborted)

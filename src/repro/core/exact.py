@@ -153,18 +153,6 @@ class ExactAnalysis:
         with span("exact.global_functions"):
             onsets = global_functions(net, m)
 
-        def maybe_gc() -> None:
-            # safe point between top-level operations: every needed node is
-            # protected by a BddNode wrapper (relation, onsets, χ memo), so
-            # construction garbage can be reclaimed against the budget
-            threshold = (
-                self.manager.max_nodes // 2
-                if self.manager.max_nodes
-                else 500_000
-            )
-            if m.num_nodes > threshold:
-                m.garbage_collect()
-
         constraints: list[BddNode] = []
         with span("exact.output_constraints", outputs=len(req)):
             for out, t in req.items():
@@ -182,7 +170,8 @@ class ExactAnalysis:
                 else:
                     constraints.append(one_ok)
                     constraints.append(zero_ok)
-                maybe_gc()
+                # safe point: wrappers protect relation, onsets and χ memo
+                m.maybe_garbage_collect()
 
         # ordering chains and literal bounds (balanced conjunction per
         # input keeps the intermediate relation BDDs from going lopsided)
@@ -202,7 +191,7 @@ class ExactAnalysis:
                         chain_constraints.append(prev.implies(bound))
                 if chain_constraints:
                     constraints.append(m.conjoin(chain_constraints))
-                maybe_gc()
+                m.maybe_garbage_collect()
 
         # Balanced pairwise reduction over *handles*, with a GC safe point
         # between rounds: the handles of a finished round are dropped as the
@@ -216,7 +205,7 @@ class ExactAnalysis:
                 if len(constraints) % 2:
                     nxt.append(constraints[-1])
                 constraints = nxt
-                maybe_gc()
+                m.maybe_garbage_collect()
             relation = constraints[0] if constraints else m.true
 
         if self.reorder:

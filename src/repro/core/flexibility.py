@@ -31,7 +31,7 @@ from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
 from repro.network.transform import fanin_network, fanout_network
 from repro.network.verify import global_functions
-from repro.timing.chi import ChiEngine, candidate_times
+from repro.timing.chi import ChiEngine, ChiUnrolling, candidate_times
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import arrival_map
 
@@ -73,7 +73,7 @@ def _first_stable_classes(
     known = arrival_map(network, input_arrivals)
     nfi = fanin_network(network, boundary)
     arrivals = {pi: known[pi] for pi in nfi.inputs}
-    engine = ChiEngine(nfi, delays, arrivals)
+    engine = ChiEngine(ChiUnrolling(nfi, delays), arrivals)
     m = engine.manager
     cands = candidate_times(nfi, delays, arrivals)
     classes: dict[str, list[tuple[float, BddNode]]] = {}

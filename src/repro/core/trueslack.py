@@ -29,7 +29,6 @@ from repro.core.leaves import enumerate_leaf_times
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.network.transform import fanin_network, fanout_network
-from repro.timing.chi import ChiUnrolling
 from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.functional import FunctionalTiming
 from repro.timing.topological import (
@@ -112,20 +111,19 @@ def _true_required(
 ) -> float:
     nfo = fanout_network(network, [node])
     req = required_map(nfo, output_required)
+    # one engine on N_FO for every probe; only the node's arrival moves
+    ft = FunctionalTiming(nfo, delays, engine=engine)
 
-    leaves = enumerate_leaf_times(ChiUnrolling(nfo, delays), req)
-    axis = leaves.merged(node)
+    axis = enumerate_leaf_times(ft.unrolling, req).merged(node)
     if not axis:
         return math.inf  # the node never constrains any output
 
     # scalar or (arr0, arr1) entries, passed through to the χ engines
-    base_arrivals = {pi: arrivals[pi] for pi in nfo.inputs if pi != node}
+    probe = {pi: arrivals[pi] for pi in nfo.inputs if pi != node}
 
     def valid(r: float) -> bool:
-        probe = dict(base_arrivals)
         probe[node] = r
-        ft = FunctionalTiming(nfo, delays, probe, engine=engine)
-        return ft.all_stable_by(req)
+        return ft.all_stable_by(req, probe)
 
     if not valid(axis[0]):
         raise TimingError(

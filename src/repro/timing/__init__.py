@@ -15,8 +15,8 @@
   leaf callback) or as one incremental SAT instance per (output, required
   time).
 * :mod:`~repro.timing.functional` — functional delay analysis built on χ
-  functions: stability checks (BDD- or SAT-engine), true arrival times via
-  search over candidate times, false-path detection.
+  functions: stability checks on one reused BDD or SAT engine, each with
+  an optional arrival map; true arrival times; false-path detection.
 * :mod:`~repro.timing.sequential` — cutting sequential BLIF at latch
   boundaries into the combinational analysis problem (Section 3).
 """

@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 from repro.bdd import BddManager, BddNode, create_manager
 from repro.errors import ResourceLimitError, TimingError
 from repro.network.network import Network
-from repro.network.verify import global_functions
+from repro.network.transform import transitive_fanout
 from repro.obs.trace import span
 from repro.sat import Cnf, Solver
 from repro.timing.delay import DelayModel, unit_delay
@@ -187,25 +187,36 @@ def known_arrival_leaf(
 
 
 class ChiEngine(ChiBdd):
-    """BDD-based χ functions for a network with *known* arrival times: a
-    :class:`ChiBdd` over its own unrolling with :func:`known_arrival_leaf`
-    (inputs missing from ``arrivals`` arrive at 0)."""
+    """BDD-based χ functions under *known* arrival times: a :class:`ChiBdd`
+    over ``unrolling`` in a manager of its own, with
+    :func:`known_arrival_leaf` (inputs missing from ``arrivals`` arrive at
+    0).  :meth:`set_arrivals` moves it to another arrival map."""
 
     def __init__(
-        self,
-        network: Network,
-        delays: DelayModel | None = None,
-        arrivals: Mapping[str, object] | None = None,
-        manager: BddManager | None = None,
+        self, unrolling: ChiUnrolling, arrivals: Mapping[str, object] | None = None
     ):
+        manager = create_manager()
+        for pi in unrolling.network.inputs:
+            manager.add_var(pi)
+        super().__init__(unrolling, manager, None)
+        #: the arrival map the memoized χ were read under
+        self._known: dict[str, object] = {}
+        self.set_arrivals(arrivals)
+
+    def set_arrivals(self, arrivals: Mapping[str, object] | None) -> None:
+        """Read every later χ under ``arrivals`` (checked by ``arrival_map``),
+        keeping the memoized χ outside the transitive fanout of the inputs
+        whose arrival changed."""
+        network = self.unrolling.network
         known = arrival_map(network, arrivals)
-        manager = manager or create_manager()
-        for pi in network.inputs:
-            if not manager.has_var(pi):
-                manager.add_var(pi)
-        super().__init__(
-            ChiUnrolling(network, delays), manager, known_arrival_leaf(manager, known)
-        )
+        changed = [pi for pi, t in known.items() if self._known.get(pi) != t]
+        if not changed:
+            return
+        self._known = known
+        self.leaf = known_arrival_leaf(self.manager, known)
+        dirty = transitive_fanout(network, changed)
+        self._memo = {k: v for k, v in self._memo.items() if k[0] not in dirty}
+        self.manager.maybe_garbage_collect()  # the dropped χ are garbage
 
     def chi(self, name: str, value: int, t: float) -> BddNode:
         """The BDD of χ_{name,value}^t."""
@@ -223,20 +234,8 @@ class ChiEngine(ChiBdd):
 
     def is_stable_by(self, name: str, t: float) -> bool:
         """All input vectors stabilize ``name`` by ``t``?"""
-        return self.stable(name, t).is_true
-
-    def check_onset_invariant(self, name: str, t: float) -> bool:
-        """Verify χ_{n,1}^t ⊆ onset(n) and χ_{n,0}^t ⊆ offset(n).
-
-        Holds by construction under the XBD0 model (Lemma 3's boundary
-        case); exposed for the test suite.
-        """
-        funcs = global_functions(self.unrolling.network, self.manager)
-        on = funcs[name]
-        return (
-            self.chi(name, 1, t).implies(on).is_true
-            and self.chi(name, 0, t).implies(~on).is_true
-        )
+        with span("chi.stability_check", output=name, t=float(t), engine="bdd"):
+            return self.stable(name, t).is_true
 
 
 class ChiSat:

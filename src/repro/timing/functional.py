@@ -36,7 +36,8 @@ Engine = Literal["bdd", "sat"]
 
 
 class FunctionalTiming:
-    """Functional timing analysis of one network under fixed delays."""
+    """Functional timing analysis of one network under fixed delays; one
+    engine answers every check, each under its own arrival map if given."""
 
     def __init__(
         self,
@@ -55,36 +56,58 @@ class FunctionalTiming:
         self.arrivals = arrival_map(network, arrivals)
         self.engine = engine
         self.max_conflicts = max_conflicts
-        self._chi: ChiEngine | None = None
+        #: the one χ unrolling every check reads, on either engine
+        self.unrolling = ChiUnrolling(network, self.delays)
+        self._outputs = frozenset(network.outputs)
+        self._chi = ChiEngine(self.unrolling) if engine == "bdd" else None
+        self._sat: dict[tuple[str, float], ChiSat] = {}
         # every node's candidate stabilization moments, computed once
         self._candidates: dict[str, list[float]] | None = None
-        # the SAT engine's one unrolling: every ChiSat built here (one per
-        # stability check, e.g. along true_arrival's search) reads it
-        self._unrolling = (
-            ChiUnrolling(network, self.delays) if engine == "sat" else None
-        )
 
     # ------------------------------------------------------------------
     # stability primitive
     # ------------------------------------------------------------------
-    def output_stable_by(self, output: str, t: float) -> bool:
+    def output_stable_by(
+        self, output: str, t: float, arrivals: Mapping[str, object] | None = None
+    ) -> bool:
         """Is ``output`` stable (at its final value) by time ``t`` for every
         input vector, under the XBD0 model?"""
-        if output not in self.network.outputs:
-            raise TimingError(f"{output!r} is not a primary output")
-        if self.engine == "sat":
-            return ChiSat(self._unrolling, output, t).stable_by(
-                self.arrivals, self.max_conflicts
-            )
-        with span("chi.stability_check", output=output, t=float(t), engine="bdd"):
-            if self._chi is None:
-                self._chi = ChiEngine(self.network, self.delays, self.arrivals)
-            return self._chi.is_stable_by(output, t)
+        return self.first_unstable({output: t}, arrivals) is None
 
-    def all_stable_by(self, required: Mapping[str, float] | float) -> bool:
+    def all_stable_by(
+        self,
+        required: Mapping[str, float] | float,
+        arrivals: Mapping[str, object] | None = None,
+    ) -> bool:
         """Every primary output stable by its required time?"""
-        req = required_map(self.network, required)
-        return all(self.output_stable_by(o, t) for o, t in req.items())
+        return self.first_unstable(required_map(self.network, required), arrivals) is None
+
+    def first_unstable(
+        self, required: Mapping[str, float], arrivals: Mapping[str, object] | None = None
+    ) -> str | None:
+        """The first output of ``required``, in its order, that is not stable
+        by its required time, or None when every one is."""
+        unknown = required.keys() - self._outputs
+        if unknown:
+            raise TimingError(f"{sorted(unknown)[0]!r} is not a primary output")
+        if arrivals is None:
+            arrivals = self.arrivals
+        if self._chi is not None:
+            self._chi.set_arrivals(arrivals)  # checks the map itself
+        elif not arrivals.keys() <= self.arrivals.keys():
+            # ChiSat reads the map with .get: only a non-input name is wrong
+            arrival_map(self.network, arrivals)  # raises TimingError
+        for output, t in required.items():
+            if self._chi is not None:
+                stable = self._chi.is_stable_by(output, t)
+            else:
+                oracle = self._sat.get((output, t))
+                if oracle is None:
+                    oracle = self._sat[(output, t)] = ChiSat(self.unrolling, output, t)
+                stable = oracle.stable_by(arrivals, self.max_conflicts)
+            if not stable:
+                return output
+        return None
 
     # ------------------------------------------------------------------
     # true delay

@@ -166,12 +166,17 @@ def classify_path(
 ) -> Verdict:
     """Sound three-way classification of one path under XBD0 (see the
     module docstring for the exact semantics of each verdict)."""
-    delays = delays or unit_delay()
     if path.end not in network.outputs:
         raise TimingError(f"path endpoint {path.end!r} is not a primary output")
     ft = FunctionalTiming(network, delays, arrivals, engine=engine)
-    true_arrival = ft.true_arrival(path.end)
-    start_arrival = (arrivals or {}).get(path.start, 0.0)
+    return _verdict(network, path, ft.arrivals, ft.true_arrival(path.end))
+
+
+def _verdict(
+    network: Network, path: Path, arrivals: Mapping[str, object], true_arrival: float
+) -> Verdict:
+    """The verdict on ``path`` given its endpoint's true arrival."""
+    start_arrival = arrivals.get(path.start, 0.0)
     if isinstance(start_arrival, (tuple, list)):
         start_arrival = max(start_arrival)
     path_arrival = float(start_arrival) + path.delay
@@ -194,16 +199,5 @@ def false_path_report(
     ft = FunctionalTiming(network, delays, arrivals, engine="bdd")
     true_arrivals = {o: ft.true_arrival(o) for o in network.outputs}
     for path in enumerate_paths(network, delays, max_paths=max_paths):
-        start_arrival = (arrivals or {}).get(path.start, 0.0)
-        if isinstance(start_arrival, (tuple, list)):
-            start_arrival = max(start_arrival)
-        path_arrival = float(start_arrival) + path.delay
-        if path_arrival > true_arrivals[path.end]:
-            counts["false"] += 1
-        elif path_arrival == true_arrivals[path.end] and is_statically_sensitizable(
-            network, path
-        ):
-            counts["true"] += 1
-        else:
-            counts["undetermined"] += 1
+        counts[_verdict(network, path, ft.arrivals, true_arrivals[path.end])] += 1
     return counts

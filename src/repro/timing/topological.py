@@ -102,11 +102,13 @@ def arrival_map(
     ``(arr_for_0, arr_for_1)`` pair given — and a name that is not a
     primary input raises :class:`TimingError`.
     """
-    arrivals = arrivals or {}
-    extra = set(arrivals) - set(network.inputs)
-    if extra:
-        raise TimingError(f"arrival times given for non-inputs {sorted(extra)}")
-    return {pi: arrivals.get(pi, 0.0) for pi in network.inputs}
+    known = dict.fromkeys(network.inputs, 0.0)
+    if arrivals:
+        known.update(arrivals)
+        if len(known) > len(network.inputs):
+            extra = set(arrivals) - set(network.inputs)
+            raise TimingError(f"arrival times given for non-inputs {sorted(extra)}")
+    return known
 
 
 def required_map(

@@ -150,9 +150,9 @@ class TestSection51ArrivalExample:
     """The Figure 6 fanin network under the Section 5.1 analysis."""
 
     def test_chi_tilde_values(self):
-        from repro.timing import ChiEngine
+        from repro.timing import ChiEngine, ChiUnrolling
 
-        eng = ChiEngine(figure6())
+        eng = ChiEngine(ChiUnrolling(figure6()))
         m = eng.manager
         # the paper: χ̃_{u1}^1 = ~x1, χ̃_{u2}^1 = x1, both 1 at t=2
         assert eng.stable("u1", 1.0) == m.nvar("x1")
@@ -162,9 +162,9 @@ class TestSection51ArrivalExample:
 
     def test_full_eight_row_table(self):
         # the unfolded per-X table: x1=0 -> (1,2); x1=1 -> (2,1)
-        from repro.timing import ChiEngine
+        from repro.timing import ChiEngine, ChiUnrolling
 
-        eng = ChiEngine(figure6())
+        eng = ChiEngine(ChiUnrolling(figure6()))
         m = eng.manager
         import itertools
 

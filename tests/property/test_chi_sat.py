@@ -46,4 +46,4 @@ def test_reused_oracle_matches_network_and_bdd_views(net, data):
     for arrivals in maps:
         verdict = oracle.stable_by(arrivals)
         assert verdict == oracle_stable_by(net, out, t, delays, arrivals)
-        assert verdict == ChiEngine(net, delays, arrivals).is_stable_by(out, t)
+        assert verdict == ChiEngine(ChiUnrolling(net, delays), arrivals).is_stable_by(out, t)

@@ -13,7 +13,7 @@ from functools import partial
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import carry_skip_block, figure4
-from repro.timing import ChiEngine, FunctionalTiming, candidate_times
+from repro.timing import ChiEngine, ChiUnrolling, FunctionalTiming, candidate_times
 from repro.timing.ternary import (
     oracle_true_arrival,
     stabilization_times,
@@ -55,7 +55,7 @@ class TestOracleAgainstChi:
     @given(small_networks())
     @settings(max_examples=25, deadline=None)
     def test_per_vector_stabilization_matches_chi(self, net):
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         out = net.outputs[0]
         cands = candidate_times(net)[out]
         for bits in itertools.product((0, 1), repeat=len(net.inputs)):

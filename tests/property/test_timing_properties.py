@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.network import global_functions
 from repro.timing import (
     ChiEngine,
+    ChiUnrolling,
     FunctionalTiming,
     candidate_times,
 )
@@ -29,7 +30,7 @@ class TestChiInvariants:
     @given(small_networks())
     @settings(max_examples=30, deadline=None)
     def test_chi_monotone_in_time(self, net):
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         out = net.outputs[0]
         topo = arrival_times(net)[out]
         prev = eng.stable(out, 0.0)
@@ -43,7 +44,7 @@ class TestChiInvariants:
     @given(small_networks())
     @settings(max_examples=30, deadline=None)
     def test_onset_containment(self, net):
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         out = net.outputs[0]
         funcs = global_functions(net, eng.manager)
         on = funcs[out]
@@ -58,7 +59,7 @@ class TestChiInvariants:
         # Lemma 3 boundary: with every leaf at its literal (t >= arr), the
         # χ functions equal the onset/offset, so the output is stable at
         # the topological delay
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         out = net.outputs[0]
         topo = arrival_times(net)[out]
         assert eng.is_stable_by(out, topo)

@@ -324,3 +324,39 @@ def test_budget_abort_parity():
             step = i
         steps[backend] = (step, m.statistics()["nodes_created"])
     assert steps["object"] == steps["native"]
+
+
+def test_swap_abort_keeps_the_store_canonical():
+    """A level swap that outgrows the budget finishes before it raises:
+    every edge under f still points strictly down, and both kernels raise
+    at the same swap."""
+    import itertools
+
+    aborted = {}
+    for backend in BACKENDS:
+        m = create_manager(backend, max_nodes=22)
+        x = [m.add_var(f"x{i}") for i in range(6)]
+        partial = x[0] & x[3]
+        partial = partial | (x[1] & x[4])
+        f = partial | (x[2] & x[5])  # x0·x3 + x1·x4 + x2·x5
+        m.garbage_collect()
+        for level in (2, 1, 0):
+            try:
+                m.swap_levels(level)
+            except ResourceLimitError:
+                aborted[backend] = level
+                break
+        stack, seen = [f.id], set()
+        while stack:
+            node = stack.pop()
+            if node <= 1 or node in seen:
+                continue
+            seen.add(node)
+            for child in (m._low[node], m._high[node]):
+                assert m._level(child) > m._level(node), backend
+                stack.append(child)
+        for bits in itertools.product((0, 1), repeat=6):
+            env = {f"x{i}": b for i, b in enumerate(bits)}
+            expected = any(bits[i] and bits[i + 3] for i in range(3))
+            assert m.evaluate(f, env) == expected
+    assert aborted == {"object": 0, "native": 0}

@@ -25,7 +25,7 @@ class TestSymbolicChi:
         from repro.timing import ChiEngine
 
         net = figure4()
-        concrete = ChiEngine(net)
+        concrete = ChiEngine(ChiUnrolling(net))
 
         m = _manager(net)
         sym = ChiBdd(

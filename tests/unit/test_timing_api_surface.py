@@ -5,7 +5,7 @@ import pytest
 from repro.circuits import carry_skip_block, figure4, parity_tree
 from repro.errors import ResourceLimitError, TimingError
 from repro.timing import FunctionalTiming, candidate_times
-from repro.timing.chi import ChiEngine
+from repro.timing.chi import ChiEngine, ChiUnrolling
 
 
 class TestFunctionalTimingSurface:
@@ -56,20 +56,20 @@ class TestCandidateTimesBudget:
 
 
 class TestChiEngineSharedManager:
-    def test_two_engines_share_manager(self):
-        from repro.bdd import BddManager
-
-        m = BddManager()
-        net = figure4()
-        e1 = ChiEngine(net, manager=m)
-        e2 = ChiEngine(net, arrivals={"x2": 1.0}, manager=m)
-        # same variables, different arrival interpretations
-        assert e1.chi("z", 1, 2.0) == (m.var("x1") & m.var("x2"))
-        assert e2.chi("z", 1, 2.0).is_false
+    def test_arrival_maps_share_manager(self):
+        eng = ChiEngine(ChiUnrolling(figure4()))
+        m = eng.manager
+        assert eng.chi("z", 1, 2.0) == (m.var("x1") & m.var("x2"))
+        # same manager and variables, another arrival interpretation
+        eng.set_arrivals({"x2": 1.0})
+        assert eng.manager is m
+        assert eng.chi("z", 1, 2.0).is_false
+        eng.set_arrivals(None)
+        assert eng.chi("z", 1, 2.0) == (m.var("x1") & m.var("x2"))
 
     def test_stable_is_union(self):
         net = parity_tree(4)
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         out = net.outputs[0]
         t = 2.0
         assert eng.stable(out, t) == (eng.chi(out, 1, t) | eng.chi(out, 0, t))

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import TimingError
-from repro.network import Network
+from repro.network import Network, global_functions
 from repro.timing import (
     ChiEngine,
+    ChiUnrolling,
     FunctionalTiming,
     candidate_times,
     has_false_paths,
@@ -59,7 +60,7 @@ class TestChiEngine:
         # χ_{z,1}^2 = x1 x2 and χ_{z,0}^2 = ~x1 + ~x2 (Section 4 example
         # with arrival times 0).
         net = fig4()
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         m = eng.manager
         x1, x2 = m.var("x1"), m.var("x2")
         assert eng.chi("z", 1, 2.0) == (x1 & x2)
@@ -67,7 +68,7 @@ class TestChiEngine:
 
     def test_fig4_chi_at_1_partial(self):
         net = fig4()
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         m = eng.manager
         # at t=1 the w input of z cannot be stable to 1 yet (χ_{w,1}^0 = 0)
         assert eng.chi("z", 1, 1.0).is_false
@@ -76,7 +77,7 @@ class TestChiEngine:
 
     def test_chi_monotone_in_time(self):
         net = carry_skip_block()
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
         prev = eng.stable("cout", 0.0)
         for t in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]:
             cur = eng.stable("cout", t)
@@ -85,24 +86,28 @@ class TestChiEngine:
 
     def test_chi_respects_arrival_times(self):
         net = fig4()
-        eng = ChiEngine(net, arrivals={"x1": 2.0})
+        eng = ChiEngine(ChiUnrolling(net), arrivals={"x1": 2.0})
         # with x1 arriving at 2, z cannot be stable-to-1 by 2
         assert eng.chi("z", 1, 2.0).is_false
         assert eng.is_stable_by("z", 4.0)
 
     def test_onset_invariant(self):
+        # χ_{n,1}^t ⊆ onset(n) and χ_{n,0}^t ⊆ offset(n): Lemma 3's
+        # boundary case, which holds by construction under XBD0
         net = carry_skip_block()
-        eng = ChiEngine(net)
+        eng = ChiEngine(ChiUnrolling(net))
+        on = global_functions(net, eng.manager)["cout"]
         for t in [2.0, 4.0, 6.0]:
-            assert eng.check_onset_invariant("cout", t)
+            assert eng.chi("cout", 1, t).implies(on).is_true
+            assert eng.chi("cout", 0, t).implies(~on).is_true
 
     def test_invalid_value_rejected(self):
         with pytest.raises(TimingError):
-            ChiEngine(fig4()).chi("z", 2, 1.0)
+            ChiEngine(ChiUnrolling(fig4())).chi("z", 2, 1.0)
 
     def test_arrival_for_non_input_rejected(self):
         with pytest.raises(TimingError):
-            ChiEngine(fig4(), arrivals={"w": 1.0})
+            ChiEngine(ChiUnrolling(fig4()), arrivals={"w": 1.0})
 
 
 class TestCandidateTimes:
@@ -177,6 +182,23 @@ class TestStability:
         ft = FunctionalTiming(fig4())
         with pytest.raises(TimingError):
             ft.output_stable_by("w", 2.0)
+
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    def test_per_call_non_input_arrival_rejected(self, engine):
+        # ChiSat alone reads the map with .get and would ignore the name
+        ft = FunctionalTiming(fig4(), engine=engine)
+        with pytest.raises(TimingError, match="w"):
+            ft.output_stable_by("z", 2.0, {"w": 1.0})
+        with pytest.raises(TimingError, match="w"):
+            ft.all_stable_by(2.0, {"x1": 0.0, "w": 1.0})
+
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    def test_per_call_arrivals_leave_the_default(self, engine):
+        ft = FunctionalTiming(fig4(), arrivals={"x2": 1.0}, engine=engine)
+        assert not ft.output_stable_by("z", 2.0)
+        assert ft.output_stable_by("z", 2.0, {"x1": 0.0})
+        assert not ft.output_stable_by("z", 2.0)
+        assert ft.output_stable_by("z", 3.0)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(TimingError):

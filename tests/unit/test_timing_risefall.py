@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TimingError
 from repro.network import Network
-from repro.timing import ChiEngine, DelayModel, FunctionalTiming
+from repro.timing import ChiEngine, ChiUnrolling, DelayModel, FunctionalTiming
 from repro.timing.ternary import oracle_true_arrival, stabilization_times
 
 
@@ -59,7 +59,7 @@ class TestChiWithRiseFall:
     def test_buffer_rise_fall_split(self):
         net = buffer_chain()
         dm = DelayModel(default=1.0, overrides={"g": (3.0, 1.0)})
-        eng = ChiEngine(net, dm)
+        eng = ChiEngine(ChiUnrolling(net, dm))
         m = eng.manager
         # falling output stable after fall delay 1
         assert eng.chi("g", 0, 1.0) == m.nvar("a")
@@ -108,7 +108,6 @@ class TestRequiredTimesWithRiseFall:
 
     def test_exact_leaf_times_split(self):
         from repro.core.leaves import enumerate_leaf_times
-        from repro.timing import ChiUnrolling
 
         net = buffer_chain()
         dm = DelayModel(default=1.0, overrides={"g": (3.0, 1.0)})
