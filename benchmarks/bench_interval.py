@@ -1,10 +1,7 @@
-"""Interval delay model benchmark: parity, bounds cost, widened runs.
+"""Delay-bound benchmark: bounds cost, widened runs.
 
 Timed claims (the acceptance bars of docs/DELAY_MODELS.md):
 
-* **point parity** — on every scenario circuit, each of the four engines
-  run under a point-interval model produces a canonical result row
-  *byte-identical* to the scalar run (asserted, not sampled);
 * **bounds overhead** — the two-corner Figure-3 propagation
   (:func:`~repro.timing.topological.required_time_bounds`) costs a small
   multiple of one scalar :func:`required_times` pass (it does exactly
@@ -13,12 +10,15 @@ Timed claims (the acceptance bars of docs/DELAY_MODELS.md):
   end with the ``interval`` digest stamped on the row (reported for
   context; its cost is the scalar run plus the bounds pass).
 
+A point interval is the scalar model itself (``DelayModel``), so there
+is no separate point-interval run to time.
+
 Run:  pytest benchmarks/bench_interval.py --benchmark-only -q
 
 Script mode — ``python benchmarks/bench_interval.py [--smoke] [--json
-OUT]`` — replays every scenario with the parity and soundness assertions
-and writes the JSON payload; ``scripts/check_bench.py interval`` holds
-the overhead ceiling and the wall gate (CI runs it with ``--smoke``).
+OUT]`` — replays every scenario with the soundness assertions and
+writes the JSON payload; ``scripts/check_bench.py interval`` holds the
+overhead ceiling and the wall gate (CI runs it with ``--smoke``).
 """
 
 import json
@@ -27,30 +27,13 @@ import time
 
 from _harness import TableCollector
 
-from repro.cache.results import CachedRequiredResult
 from repro.circuits import carry_skip_adder, cascaded_mux_chain, parity_tree
-from repro.core.required_time import (
-    analyze_required_times,
-    topological_input_required_times,
-)
-from repro.timing import (
-    IntervalDelayModel,
-    required_time_bounds,
-    required_times,
-    unit_delay,
-)
+from repro.core.required_time import analyze_required_times
+from repro.timing import required_time_bounds, required_times, unit_delay
 
 TABLE = TableCollector(
-    "Interval delays: point-interval parity and bounds overhead",
-    ["circuit", "method", "scalar (s)", "interval (s)", "parity"],
-)
-
-#: (method, options) pairs every scenario runs at both delay corners
-METHODS = (
-    ("topological", {}),
-    ("exact", {}),
-    ("approx1", {}),
-    ("approx2", {"engine": "sat"}),
+    "Delay bounds: two-corner propagation overhead",
+    ["circuit", "scalar (s)", "bounds (s)", "overhead"],
 )
 
 
@@ -73,51 +56,10 @@ def scenario_circuits(smoke: bool):
     ]
 
 
-def _row(net, method, delays, options) -> dict:
-    """One engine run reduced to its canonical time-free row."""
-    baseline = topological_input_required_times(net, delays, 0.0)
-    report = analyze_required_times(
-        net, method, delays=delays, output_required=0.0, **options
-    )
-    return CachedRequiredResult.from_report(report, baseline).row()
-
-
-def run_parity_scenario(net) -> list[dict]:
-    """Scalar vs point-interval rows per method on one circuit."""
-    scalar = unit_delay()
-    point = IntervalDelayModel.from_scalar(scalar)
-    records = []
-    for method, options in METHODS:
-        t0 = time.perf_counter()
-        scalar_row = _row(net, method, scalar, options)
-        scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        point_row = _row(
-            net, method, point, {**options, "delay_model": "interval"}
-        )
-        interval_s = time.perf_counter() - t0
-        parity = json.dumps(scalar_row, sort_keys=True) == json.dumps(
-            point_row, sort_keys=True
-        )
-        assert parity, (
-            f"{net.name}/{method}: point-interval row diverged from scalar"
-        )
-        records.append(
-            {
-                "circuit": net.name,
-                "method": method,
-                "scalar_seconds": round(scalar_s, 6),
-                "interval_seconds": round(interval_s, 6),
-                "parity": parity,
-            }
-        )
-    return records
-
-
 def run_bounds_scenario(net, repeats: int = 20) -> dict:
     """Time scalar required_times vs two-corner required_time_bounds."""
     scalar = unit_delay()
-    widened = IntervalDelayModel.from_scalar(scalar, widen=0.5)
+    widened = scalar.widened(0.5)
     t0 = time.perf_counter()
     for _ in range(repeats):
         req = required_times(net, scalar, 0.0)
@@ -144,11 +86,10 @@ def run_bounds_scenario(net, repeats: int = 20) -> dict:
 
 def run_widened_scenario(net) -> dict:
     """A genuinely widened end-to-end approx2 run (stamp asserted)."""
-    widened = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
+    widened = unit_delay().widened(0.5)
     t0 = time.perf_counter()
     report = analyze_required_times(
-        net, "approx2", delays=widened, output_required=0.0,
-        delay_model="interval", engine="sat",
+        net, "approx2", delays=widened, output_required=0.0, engine="sat",
     )
     elapsed = time.perf_counter() - t0
     stamp = report.stats.get("interval")
@@ -171,21 +112,9 @@ def run_widened_scenario(net) -> dict:
 def test_required_time_bounds(benchmark):
     """Two-corner Figure-3 propagation on the carry-skip adder."""
     net = carry_skip_adder(3, 3)  # topological only — large is fine here
-    model = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
+    model = unit_delay().widened(0.5)
     bounds = benchmark(lambda: required_time_bounds(net, model, 0.0))
     assert all(lo <= hi for lo, hi in bounds.values())
-
-
-def test_point_interval_topological(benchmark):
-    """Point-interval topological analysis (the degenerate fast path)."""
-    net = carry_skip_adder(3, 3)
-    point = IntervalDelayModel.from_scalar(unit_delay())
-    report = benchmark(
-        lambda: analyze_required_times(
-            net, "topological", delays=point, delay_model="interval"
-        )
-    )
-    assert "interval" not in report.stats  # point models carry no stamp
 
 
 def test_zzz_print(benchmark):
@@ -200,7 +129,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Interval delay model parity/overhead benchmark."
+        description="Delay-bound overhead benchmark."
     )
     parser.add_argument("--smoke", action="store_true",
                         help="smaller circuits (the CI gate)")
@@ -209,16 +138,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     circuits = scenario_circuits(args.smoke)
-    parity_records, bounds_records, widened_records = [], [], []
+    bounds_records, widened_records = [], []
     for net in circuits:
-        for record in run_parity_scenario(net):
-            parity_records.append(record)
-            TABLE.add(
-                record["circuit"], record["method"],
-                record["scalar_seconds"], record["interval_seconds"],
-                record["parity"],
-            )
-        bounds_records.append(run_bounds_scenario(net))
+        record = run_bounds_scenario(net)
+        bounds_records.append(record)
+        TABLE.add(
+            record["circuit"], record["scalar_seconds"],
+            record["bounds_seconds"], record["overhead"],
+        )
         widened_records.append(run_widened_scenario(net))
 
     for record in bounds_records:
@@ -229,17 +156,13 @@ def main(argv=None) -> int:
             f"({record['overhead']}x)"
         )
     worst = max(bounds_records, key=lambda r: r["overhead"])
-    print(
-        f"parity: {len(parity_records)} engine runs byte-identical; "
-        f"worst bounds overhead {worst['overhead']}x ({worst['circuit']})"
-    )
+    print(f"worst bounds overhead {worst['overhead']}x ({worst['circuit']})")
 
     if args.json:
         payload = {
             "benchmark": "interval",
             "smoke": args.smoke,
             "results": {
-                "parity": parity_records,
                 "bounds": bounds_records,
                 "widened": widened_records,
             },

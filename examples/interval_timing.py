@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""The interval delay model: parity, bounds, and the lo-corner climb.
+"""Delay bounds: point intervals, bounds, and the lo-corner climb.
 
 Walks the interval-delay story (docs/DELAY_MODELS.md) on the paper's
 Figure 4 circuit and a carry-skip adder:
 
-1. **point-interval degeneracy** — an interval model with bounds
-   ``[d, d]`` produces a canonical result row byte-identical to the
-   scalar model's, for every engine (the model's central correctness
-   oracle),
+1. **a point interval is the scalar delay** — a spec whose bounds are
+   all ``[d, d]`` reads back as the scalar model, so every engine gives
+   the scalar row,
 2. **conservative bounds** — widening the intervals yields ``[lo, hi]``
    required-time bounds per input that bracket the scalar answer
    (Figure 3 at both delay corners in one pass),
@@ -29,12 +28,7 @@ from repro.core.required_time import (
     analyze_required_times,
     topological_input_required_times,
 )
-from repro.timing import (
-    IntervalDelayModel,
-    delay_model_from_spec,
-    required_time_bounds,
-    unit_delay,
-)
+from repro.timing import DelayModel, required_time_bounds, unit_delay
 
 
 def canonical_row(net, method, delays, **options):
@@ -49,21 +43,21 @@ def canonical_row(net, method, delays, **options):
 def main() -> None:
     net = figure4()
     scalar = unit_delay()
-    point = IntervalDelayModel.from_scalar(scalar)
+    point = DelayModel.from_spec(
+        {"model": "interval", "default": [[1.0, 1.0], [1.0, 1.0]]}
+    )
 
-    # 1. degeneracy: point interval == scalar, byte for byte, per engine
-    print("== point-interval degeneracy (Figure 4) ==")
+    # 1. a point interval is the scalar model, so every row is the scalar row
+    print("== point intervals (Figure 4) ==")
+    assert point.is_point() and point.to_spec() == scalar.to_spec()
     for method in ("topological", "exact", "approx1", "approx2"):
         a = json.dumps(canonical_row(net, method, scalar), sort_keys=True)
-        b = json.dumps(
-            canonical_row(net, method, point, delay_model="interval"),
-            sort_keys=True,
-        )
-        assert a == b, f"{method}: degeneracy violated"
+        b = json.dumps(canonical_row(net, method, point), sort_keys=True)
+        assert a == b, f"{method}: point interval diverged from scalar"
         print(f"  {method:<12} scalar row == point-interval row")
 
     # 2. conservative bounds under widening: [lo, hi] brackets scalar
-    widened = IntervalDelayModel.from_scalar(scalar, widen=0.5)
+    widened = scalar.widened(0.5)
     scalar_req = topological_input_required_times(net, scalar, 2.0)
     bounds = required_time_bounds(net, widened, 2.0)
     print("\n== widened bounds (every gate delay in [0.5, 1.5]) ==")
@@ -74,10 +68,9 @@ def main() -> None:
 
     # 3. the widened report: bounds + the approx2 lo-corner climb
     adder = carry_skip_adder(2, 2)
-    wide = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
+    wide = unit_delay().widened(0.5)
     report = analyze_required_times(
-        adder, "approx2", delays=wide, output_required=0.0,
-        delay_model="interval", engine="sat",
+        adder, "approx2", delays=wide, output_required=0.0, engine="sat",
     )
     stamp = report.stats["interval"]
     print(f"\n== widened approx2 on {adder.name} ==")
@@ -91,7 +84,7 @@ def main() -> None:
     # 4. the JSON spec round-trip the CLI's --delay-spec reads
     spec = wide.to_spec()
     assert spec["model"] == "interval"
-    assert delay_model_from_spec(spec).to_spec() == spec
+    assert DelayModel.from_spec(spec).to_spec() == spec
     print(f"\n== spec round-trip ==\n  {json.dumps(spec)}")
 
 

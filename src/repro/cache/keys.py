@@ -19,7 +19,10 @@ Canonicalization choices:
 * input/output lists are kept **in declaration order** — engines
   enumerate over them, so order is part of the result's identity;
 * delay overrides are restricted to the network before hashing, so a
-  model carrying overrides for shrunk-away nodes keys identically;
+  model carrying overrides for shrunk-away nodes keys identically, and
+  a point-interval model writes the scalar spec layout
+  (:meth:`~repro.timing.DelayModel.to_spec`), so it keys like the
+  scalar model it equals;
 * only options that can change the *answer* enter the key (node budgets,
   check budgets, engine, reorder); purely observational knobs must never
   be added to :data:`SEMANTIC_OPTIONS`.
@@ -45,7 +48,6 @@ SCHEMA_VERSION = 1
 #: ``exact_row_counts``, which widens the exact method's digest payload.
 SEMANTIC_OPTIONS = (
     "backend",
-    "delay_model",
     "engine",
     "exact_row_counts",
     "max_nodes",
@@ -116,14 +118,6 @@ def _canonical_options(options: Mapping[str, object] | None) -> dict:
         out.pop("backend", None)
     else:
         out["backend"] = _CACHE_NATIVE_BACKEND
-    # like the baseline backend: an explicit "scalar" is the historical
-    # default, so it keys identically to an absent option and existing
-    # digests stay reachable.  A genuine "interval" run additionally
-    # carries the interval spec in the ``delays`` payload (its
-    # ``"model": "interval"`` marker), so it can never alias a scalar
-    # entry even for point intervals.
-    if out.get("delay_model") == "scalar":
-        out.pop("delay_model", None)
     return out
 
 

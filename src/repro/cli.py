@@ -42,11 +42,11 @@ import sys
 
 from repro.core.required_time import format_time
 from repro.core.trueslack import true_slacks
-from repro.errors import ReproError
+from repro.errors import ReproError, TimingError
 from repro.network import parse_bench_file, parse_blif_file
 from repro.network.network import Network
 from repro.timing import FunctionalTiming, TopologicalTiming
-from repro.timing.paths import classify_path, longest_paths
+from repro.timing.paths import classify_paths, longest_paths
 
 
 def load_network(path: str) -> Network:
@@ -142,17 +142,14 @@ def cmd_required(args: argparse.Namespace) -> int:
         return 2
     delays = None
     if args.delay_spec is not None:
-        from repro.timing import IntervalDelayModel, delay_model_from_spec
+        from repro.timing import DelayModel
 
         with open(args.delay_spec) as fh:
-            delays = delay_model_from_spec(json.load(fh))
-        if args.delay_model == "scalar" and isinstance(delays, IntervalDelayModel):
-            print(
-                f"error: --delay-spec {args.delay_spec} is an interval spec "
-                "but --delay-model scalar was requested",
-                file=sys.stderr,
-            )
-            return 2
+            try:
+                delays = DelayModel.from_spec(json.load(fh))
+            except (TimingError, ValueError) as exc:
+                print(f"error: --delay-spec {args.delay_spec}: {exc}", file=sys.stderr)
+                return 2
     from repro.cache import (
         ResultCache,
         analyze_cones,
@@ -175,8 +172,6 @@ def cmd_required(args: argparse.Namespace) -> int:
         options["reorder"] = True
     if args.backend is not None:
         options["backend"] = args.backend
-    if args.delay_model is not None:
-        options["delay_model"] = args.delay_model
 
     if args.trace is not None:
         from repro.obs import start_trace
@@ -313,8 +308,8 @@ def cmd_paths(args: argparse.Namespace) -> int:
     net = load_network(args.netlist)
     paths = longest_paths(net, max_paths=args.max_paths)
     print(f"{len(paths)} longest path(s), delay {paths[0].delay:g}:" if paths else "no paths")
-    for path in paths[: args.limit]:
-        verdict = classify_path(net, path, engine=args.engine)
+    shown = paths[: args.limit]
+    for path, verdict in zip(shown, classify_paths(net, shown, engine=args.engine)):
         print(f"  [{verdict:>12}] {' -> '.join(path.nodes)}")
     return 0
 
@@ -432,8 +427,6 @@ def cmd_eco(args: argparse.Namespace) -> int:
         options["engine"] = args.engine
     if args.backend is not None:
         options["backend"] = args.backend
-    if args.delay_model is not None:
-        options["delay_model"] = args.delay_model
     session = NetworkSession(
         net,
         method=args.method,
@@ -569,7 +562,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         task_timeout=args.task_timeout,
         debug_handlers=args.debug_handlers,
         backend=args.backend,
-        delay_model=args.delay_model,
     )
     server = ReproServer(config)
     for path in args.preload:
@@ -611,16 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--required", type=float, default=0.0,
                    help="required time at every primary output (default 0)")
     p.add_argument("--engine", choices=["bdd", "sat"], default="sat")
-    p.add_argument("--delay-model", choices=["scalar", "interval"],
-                   default=None,
-                   help="delay semantics: scalar max delays (the paper's "
-                        "model, default) or min/max rise/fall intervals; "
-                        "interval runs report [lo, hi] requirement bounds "
-                        "(docs/DELAY_MODELS.md)")
     p.add_argument("--delay-spec", default=None, metavar="FILE",
                    help="JSON delay specification (DelayModel.to_spec "
-                        "format; a \"model\": \"interval\" spec selects "
-                        "the interval model; default: unit delays)")
+                        "format; [lo, hi] bounds add the row's interval "
+                        "block, docs/DELAY_MODELS.md; default: unit delays)")
     p.add_argument("--budget", type=float, default=None,
                    help="time budget in seconds (approx2)")
     p.add_argument("--max-nodes", type=int, default=None,
@@ -692,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "through the differential checks; the default), "
                         "eco (an edit trace replayed incrementally against "
                         "a full-recompute parity oracle), or interval (an "
-                        "interval-delay case checked for point-interval/"
-                        "scalar parity and widening monotonicity)")
+                        "interval-delay case checked for point-spec "
+                        "round trips and widening monotonicity)")
     p.add_argument("--replay", default=None, metavar="DIR",
                    help="replay a saved corpus instead of fuzzing")
     p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -715,10 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="required time at every primary output (default 0)")
     p.add_argument("--engine", choices=["bdd", "sat"], default="sat",
                    help="validation engine for --method approx2")
-    p.add_argument("--delay-model", choices=["scalar", "interval"],
-                   default=None,
-                   help="delay semantics for the per-edit re-analysis "
-                        "(docs/DELAY_MODELS.md)")
     p.add_argument("--backend", default=None, metavar="NAME",
                    help="BDD kernel for --method exact/approx1: object "
                         "or native (default: $REPRO_BDD_BACKEND, then "
@@ -802,11 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default BDD kernel for analyses (object or "
                         "native); a request's own 'backend' option still "
                         "wins")
-    p.add_argument("--delay-model", choices=["scalar", "interval"],
-                   default=None,
-                   help="default delay semantics for analyses; a "
-                        "request's own 'delay_model' option still wins "
-                        "(docs/DELAY_MODELS.md)")
     p.add_argument("--debug-handlers", action="store_true",
                    help="expose /debug/task and /debug/shutdown "
                         "(fault-injection tests and benchmarks)")

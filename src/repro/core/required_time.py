@@ -24,12 +24,7 @@ from typing import Literal, Mapping
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.obs.trace import span
-from repro.timing.delay import (
-    DelayModel,
-    IntervalDelayModel,
-    unit_delay,
-    unit_interval_delay,
-)
+from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import required_map, required_time_bounds
 from repro.timing.topological import required_times as topo_required
 
@@ -141,9 +136,8 @@ class RequiredTimeReport:
         # ``required --json`` can tell a degraded native run from a real one
         if "bdd_backend" in self.stats:
             row["bdd_backend"] = self.stats["bdd_backend"]
-        # interval-delay extras: present only for genuinely widened models,
-        # so point-interval rows stay byte-identical to scalar ones (the
-        # degeneracy contract in docs/DELAY_MODELS.md)
+        # delay-bound extras: present only for genuinely widened models,
+        # so point-interval rows are scalar rows (docs/DELAY_MODELS.md)
         if "interval" in self.stats:
             row["interval"] = self.stats["interval"]
         return row
@@ -154,7 +148,6 @@ def analyze_required_times(
     method: Method,
     delays: DelayModel | None = None,
     output_required: Mapping[str, float] | float = 0.0,
-    delay_model: str | None = None,
     **options,
 ) -> RequiredTimeReport:
     """Unified entry point: run one of the paper's algorithms end to end.
@@ -164,55 +157,37 @@ def analyze_required_times(
     Resource exhaustion is reported in the result instead of raised,
     mirroring the paper's table annotations.
 
-    ``delay_model`` selects the delay semantics: ``"scalar"`` (or unset)
-    is the paper's model; ``"interval"`` promotes a scalar ``delays`` to
-    point intervals (or accepts an :class:`IntervalDelayModel` as-is)
-    and runs the χ machinery on the conservative hi corner, attaching
-    ``[lo, hi]`` input-requirement bounds to ``stats["interval"]`` when
-    the model is genuinely widened (docs/DELAY_MODELS.md).
+    The engines read the hi corner of ``delays``; when the model carries
+    ``[lo, hi]`` bounds on a gate of ``network``, the input-requirement
+    bounds go to ``stats["interval"]`` (docs/DELAY_MODELS.md).  Widened
+    overrides naming no node of ``network`` add no stamp, so the stamp
+    follows the model :func:`~repro.cache.keys.required_key` hashes.
 
     A per-output ``output_required`` map must name every primary output
     and nothing else (:func:`~repro.timing.required_map`); every method
     raises the same :class:`TimingError` otherwise.
     """
-    delays = _resolve_delays(delays, delay_model)
+    delays = delays or unit_delay()
     if isinstance(output_required, Mapping):
         output_required = required_map(network, output_required)
     with span("required.analyze", circuit=network.name, method=method):
         report = _analyze(network, method, delays, output_required, options)
-        if isinstance(delays, IntervalDelayModel) and not delays.is_point():
+        restricted = delays.restricted_to(network)
+        if not restricted.is_point():
             report.stats["interval"] = _interval_stamp(
-                network, method, delays, output_required, options
+                network, method, restricted, output_required, options
             )
         return report
-
-
-def _resolve_delays(
-    delays: DelayModel | IntervalDelayModel | None, delay_model: str | None
-):
-    """Apply the ``delay_model`` selector to whatever ``delays`` was given."""
-    if delay_model in (None, "scalar"):
-        return delays or unit_delay()
-    if delay_model == "interval":
-        if delays is None:
-            return unit_interval_delay()
-        if isinstance(delays, IntervalDelayModel):
-            return delays
-        return IntervalDelayModel.from_scalar(delays)
-    raise TimingError(
-        f"unknown delay model {delay_model!r} "
-        "(choose from ['scalar', 'interval'])"
-    )
 
 
 def _interval_stamp(
     network: Network,
     method: Method,
-    delays: IntervalDelayModel,
+    delays: DelayModel,
     output_required: Mapping[str, float] | float,
     options: dict,
 ) -> dict:
-    """The interval-delay digest attached to non-point runs.
+    """The delay-bound digest attached to non-point runs.
 
     ``bounds`` is the topological ``[lo, hi]`` requirement box per primary
     input (Figure 3 at both delay corners).  For approx2 a second lattice

@@ -43,7 +43,7 @@ from repro.errors import EcoError
 from repro.network.network import Network
 from repro.network.transform import transitive_fanout
 from repro.obs.trace import span
-from repro.timing import required_map
+from repro.timing import required_map, unit_delay
 
 
 @dataclass
@@ -109,7 +109,7 @@ class NetworkSession:
             raise EcoError(f"network {network.name!r} has no outputs")
         self.network = network.copy()
         self.method = method
-        self.delays = delays
+        self.delays = delays or unit_delay()
         self.required = required_map(self.network, output_required)
         #: fallback requirement for outputs introduced by retarget_outputs
         self.default_required = (
@@ -185,7 +185,7 @@ class NetworkSession:
             edit.validate(self.network, self.delays, self.required)
             old_outputs = list(self.network.outputs)
             old_required = dict(self.required)
-            effect = edit.apply(self.network, self._delay_model(), self.required)
+            effect = edit.apply(self.network, self.delays, self.required)
             if effect.delays is not None:
                 self.delays = effect.delays
             if effect.required is not None:
@@ -226,15 +226,6 @@ class NetworkSession:
     def apply_trace(self, edits: Iterable[Edit | Mapping]) -> list[EditResult]:
         """Apply a whole edit trace, one :class:`EditResult` per edit."""
         return [self.apply_edit(edit) for edit in edits]
-
-    def _delay_model(self):
-        """The materialized delay model edits mutate (``None`` and
-        ``unit_delay()`` hash identically in cone keys)."""
-        if self.delays is not None:
-            return self.delays
-        from repro.timing.delay import unit_delay
-
-        return unit_delay()
 
     # ------------------------------------------------------------------
     # views

@@ -6,7 +6,7 @@ corpus directory (``tests/corpus/`` in this repository):
 * ``<case_id>.blif`` — the shrunk netlist, in standard BLIF so any
   external tool can read it;
 * ``<case_id>.json`` — metadata: the seed and profile that produced it,
-  the delay-model spec, the output required times, the checks it failed
+  the delay spec, the output required times, the checks it failed
   and why, and the pre-shrink size for context.
 
 ``load_corpus`` rebuilds full :class:`~repro.fuzz.gen.FuzzCase` objects

@@ -1,16 +1,15 @@
-"""The ``interval`` fuzz family: interval-delay differential oracles.
+"""The ``interval`` fuzz family: delay-bound differential oracles.
 
 Where the ``circuit`` family cross-checks the four engines against each
-other on one scalar-delay problem, this family checks the interval delay
-model (:class:`~repro.timing.delay.IntervalDelayModel`,
-docs/DELAY_MODELS.md) against its two defining contracts:
+other on one delay model, this family checks the delay model's
+``[lo, hi]`` bounds (docs/DELAY_MODELS.md) against their defining
+contracts:
 
-* **point-interval degeneracy** (``interval-point-parity[<method>]``) —
-  a point interval ``[d, d]`` built from the case's scalar delays must
-  produce a canonical result row *byte-identical* to the scalar model's,
-  per engine.  This is the central correctness oracle of the model: the
-  χ machinery consumes interval delays only through their hi projection,
-  so any divergence is a hole in that projection;
+* **point-spec round trip** (``interval-point-spec``) — the case's
+  delay model, written in the scalar spec layout and in the interval
+  layout with ``lo == hi``, must read back to the same ``to_spec()`` and
+  the same cache key.  A point interval *is* the scalar delay, so no
+  engine needs to run to check it;
 * **widening monotonicity** (``interval-monotonicity``) — widening every
   delay interval can only widen the topological ``[lo, hi]``
   required-time bounds (lo never rises, hi never falls).  Checked across
@@ -34,7 +33,6 @@ block (the width seed and chain) so its replay re-runs these oracles.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time as _time
 from dataclasses import dataclass, replace
@@ -45,18 +43,22 @@ from repro.fuzz.corpus import save_repro
 from repro.fuzz.gen import FuzzCase, FuzzProfile, generate_case
 from repro.fuzz.shrink import shrink_case
 from repro.obs.metrics import REGISTRY
-from repro.timing.delay import IntervalDelayModel, unit_delay
+from repro.timing.delay import DelayModel, unit_delay
 
-#: Engine methods the point-parity oracle covers, with the same
-#: deterministic budgets the circuit family runs under.
-def _parity_methods(suite: EngineSuite) -> list[tuple[str, dict]]:
-    """(method, options) pairs for the per-engine degeneracy check."""
-    return [
-        ("topological", {}),
-        ("exact", {"max_nodes": suite.exact_max_nodes}),
-        ("approx1", {"max_nodes": suite.approx1_max_nodes}),
-        ("approx2", {"engine": "sat", "max_checks": suite.approx2_max_checks}),
-    ]
+
+def interval_layout(spec: dict) -> dict:
+    """A scalar-layout delay spec rewritten in the interval layout, every
+    ``[rise, fall]`` pair as ``[[rise, rise], [fall, fall]]``."""
+
+    def point(pair):
+        rise, fall = pair
+        return [[rise, rise], [fall, fall]]
+
+    return {
+        "model": "interval",
+        "default": point(spec["default"]),
+        "overrides": {name: point(p) for name, p in spec["overrides"].items()},
+    }
 
 
 @dataclass
@@ -66,7 +68,7 @@ class IntervalCase:
     case_id: str
     case: FuzzCase
     #: strictly increasing interval half-widths; index 0 is always 0.0
-    #: (the point model the parity oracle compares against the scalar run)
+    #: (the point model itself)
     widths: tuple[float, ...]
     #: the exact rng seed string that regenerates the width draws
     seed: str
@@ -109,67 +111,45 @@ def generate_interval_case(
     )
 
 
-def _canonical_row(network, method, delays, output_required, options) -> dict:
-    """One engine run reduced to its canonical time-free row."""
-    from repro.cache.results import CachedRequiredResult
-    from repro.core.required_time import (
-        analyze_required_times,
-        topological_input_required_times,
-    )
-
-    baseline = topological_input_required_times(network, delays, output_required)
-    report = analyze_required_times(
-        network, method, delays=delays, output_required=output_required, **options
-    )
-    return CachedRequiredResult.from_report(report, baseline).row()
-
-
 def run_interval_differential(
     icase: IntervalCase,
     suite: EngineSuite | None = None,
 ) -> CaseResult:
     """All interval oracles on one case, reported as a
-    :class:`~repro.fuzz.checks.CaseResult` over the base case."""
+    :class:`~repro.fuzz.checks.CaseResult` over the base case.  ``suite``
+    is accepted for the family protocol; no check runs an engine."""
+    from repro.cache.keys import required_key
     from repro.core.required_time import topological_input_required_times
     from repro.timing.topological import required_time_bounds
 
-    suite = suite or EngineSuite()
     result = CaseResult(case=icase.case)
     start = _time.monotonic()
     before = REGISTRY.snapshot()
     case = icase.case
     scalar = case.delays if case.delays is not None else unit_delay()
-    point = IntervalDelayModel.from_scalar(scalar)
     required = case.output_required
 
-    # --- point-interval ≡ scalar, per engine ---------------------------
-    for method, options in _parity_methods(suite):
-        check = f"interval-point-parity[{method}]"
-        result.checks_run.append(check)
-        try:
-            scalar_row = _canonical_row(
-                case.network, method, scalar, required, options
-            )
-            point_row = _canonical_row(
-                case.network, method, point, required,
-                {**options, "delay_model": "interval"},
-            )
-            a = json.dumps(scalar_row, sort_keys=True)
-            b = json.dumps(point_row, sort_keys=True)
-            if a != b:
+    # --- a point interval reads back as the scalar model ----------------
+    check = "interval-point-spec"
+    result.checks_run.append(check)
+    try:
+        spec = scalar.to_spec()
+        want = required_key(case.network, "exact", scalar, required).digest
+        for layout in (spec, interval_layout(spec)):
+            model = DelayModel.from_spec(layout)
+            got = required_key(case.network, "exact", model, required).digest
+            if model.to_spec() != spec or got != want:
                 result.failures.append(
                     CheckFailure(
                         check,
-                        f"point-interval row diverged from scalar: "
-                        f"scalar={a} interval={b}",
+                        f"spec {layout} read back as {model.to_spec()} "
+                        f"(key {got[:12]}, scalar key {want[:12]})",
                     )
                 )
-        except Exception as exc:  # noqa: BLE001 — any crash is a finding
-            result.failures.append(
-                CheckFailure(
-                    "interval-error", f"{method}: {type(exc).__name__}: {exc}"
-                )
-            )
+    except Exception as exc:  # noqa: BLE001 — any crash is a finding
+        result.failures.append(
+            CheckFailure("interval-error", f"spec: {type(exc).__name__}: {exc}")
+        )
 
     # --- widening monotonicity + bounds soundness ----------------------
     result.checks_run.append("interval-monotonicity")
@@ -180,7 +160,7 @@ def run_interval_differential(
         )
         prev = None
         for width in icase.widths:
-            model = IntervalDelayModel.from_scalar(scalar, widen=width)
+            model = scalar.widened(width)
             bounds = required_time_bounds(case.network, model, required)
             for pi in case.network.inputs:
                 lo, hi = bounds[pi]
@@ -263,10 +243,7 @@ class IntervalFamily:
 
 #: Every check name the interval differential can emit.
 INTERVAL_CHECKS = (
-    "interval-point-parity[topological]",
-    "interval-point-parity[exact]",
-    "interval-point-parity[approx1]",
-    "interval-point-parity[approx2]",
+    "interval-point-spec",
     "interval-monotonicity",
     "interval-soundness",
     "interval-error",
@@ -277,5 +254,6 @@ __all__ = [
     "IntervalCase",
     "IntervalFamily",
     "generate_interval_case",
+    "interval_layout",
     "run_interval_differential",
 ]

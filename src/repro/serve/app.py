@@ -107,10 +107,6 @@ class ServerConfig:
     #: (request option > this flag > ``$REPRO_BDD_BACKEND`` > default);
     #: unknown names raise :class:`~repro.errors.BddError` at startup.
     backend: str | None = None
-    #: default delay semantics ("scalar" or "interval") for requests that
-    #: do not name one; a request's own ``delay_model`` option wins
-    #: (docs/DELAY_MODELS.md).
-    delay_model: str | None = None
 
 
 class _Job:
@@ -535,11 +531,11 @@ class ReproServer:
             )
         delays = None
         if body.get("delays") is not None:
-            from ..timing.delay import delay_model_from_spec
+            from ..timing.delay import DelayModel
 
             try:
-                delays = delay_model_from_spec(body["delays"])
-            except (ReproError, TypeError, ValueError, KeyError) as exc:
+                delays = DelayModel.from_spec(body["delays"])
+            except ReproError as exc:
                 raise ServeError(
                     f"bad delay spec: {exc}", status=400, code="bad-delays"
                 ) from exc
@@ -554,15 +550,6 @@ class ReproServer:
             )
         if options.get("backend") is None and self.config.backend is not None:
             options["backend"] = self.config.backend
-        if options.get("delay_model") is None and self.config.delay_model is not None:
-            options["delay_model"] = self.config.delay_model
-        if options.get("delay_model") not in (None, "scalar", "interval"):
-            raise ServeError(
-                f"unknown delay model {options['delay_model']!r} "
-                "(choose from ['scalar', 'interval'])",
-                status=400,
-                code="bad-options",
-            )
         if options.get("backend") is not None:
             from ..bdd.api import resolve_backend
             from ..errors import BddError

@@ -1,10 +1,10 @@
 """Timing analysis: topological (STA) and functional (false-path aware).
 
-* :mod:`~repro.timing.delay` — delay models.  The paper's analysis is under
-  the XBD0 (extended bounded delay-0) model: every gate delay floats
+* :mod:`~repro.timing.delay` — the delay model.  The paper's analysis is
+  under the XBD0 (extended bounded delay-0) model: every gate delay floats
   between 0 and its maximum; the experiments use the unit delay model.
-  :class:`~repro.timing.delay.IntervalDelayModel` extends this with
-  min/max rise/fall bounds per gate (docs/DELAY_MODELS.md).
+  A rise or fall delay may also be a ``[lo, hi]`` bound; a number is its
+  point interval (docs/DELAY_MODELS.md).
 * :mod:`~repro.timing.topological` — classical longest-path STA, including
   the exact algorithm of the paper's Figure 3 for backward required-time
   propagation.
@@ -21,13 +21,7 @@
   boundaries into the combinational analysis problem (Section 3).
 """
 
-from repro.timing.delay import (
-    DelayModel,
-    IntervalDelayModel,
-    delay_model_from_spec,
-    unit_delay,
-    unit_interval_delay,
-)
+from repro.timing.delay import DelayModel, unit_delay
 from repro.timing.topological import (
     TopologicalTiming,
     arrival_map,
@@ -62,6 +56,7 @@ from repro.timing.report import TimingReport, timing_report
 from repro.timing.paths import (
     Path,
     classify_path,
+    classify_paths,
     enumerate_paths,
     false_path_report,
     is_statically_sensitizable,
@@ -71,10 +66,7 @@ from repro.timing.paths import (
 
 __all__ = [
     "DelayModel",
-    "IntervalDelayModel",
-    "delay_model_from_spec",
     "unit_delay",
-    "unit_interval_delay",
     "TopologicalTiming",
     "arrival_map",
     "arrival_times",
@@ -103,6 +95,7 @@ __all__ = [
     "static_sensitization_condition",
     "is_statically_sensitizable",
     "classify_path",
+    "classify_paths",
     "false_path_report",
     "TimingReport",
     "timing_report",

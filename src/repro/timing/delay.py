@@ -1,4 +1,4 @@
-"""Delay models.
+"""The delay model.
 
 The paper analyzes circuits under the **extended bounded delay-0 (XBD0)**
 model (Section 2.2): each gate has a maximum positive delay and a minimum
@@ -13,93 +13,190 @@ maximum delay is 1); :func:`unit_delay` builds it.
 
 Rise/fall distinction (the paper's footnote 1: "it is possible to
 differentiate rise delays from fall delays") is supported as an extension:
-an override may be a single number or a ``(rise, fall)`` pair, and the χ
+an entry may be a single number or a ``(rise, fall)`` pair, and the χ
 recursion applies the rise delay when stabilizing a node to 1 and the fall
 delay when stabilizing it to 0.
 
-:class:`IntervalDelayModel` extends the scalar model with **min/max
-bounds** per rise/fall delay: each gate's rise delay floats in
-``[rise_lo, rise_hi]`` and its fall delay in ``[fall_lo, fall_hi]``.
-The model exposes the *hi* bounds through the same ``of`` /
-``of_value`` interface the χ engines consume, so every engine is
-automatically conservative under delay uncertainty, and a **point
-interval** ``[d, d]`` is consumed bit-identically to the scalar model —
-the degeneracy contract docs/DELAY_MODELS.md gates on.  The explicit
-``*_bounds`` accessors feed the interval arithmetic of
-:func:`repro.timing.topological.required_time_bounds`.
+Each rise or fall delay may also be a ``[lo, hi]`` **bound** (delay
+uncertainty before layout).  A number ``d`` is the point interval
+``[d, d]``, so there is one model: the χ engines read the **hi** corner
+through ``of`` / ``of_value`` (safe for every assignment in the box by
+monotone speedup), and only
+:func:`repro.timing.topological.required_time_bounds` reads both ends
+(docs/DELAY_MODELS.md).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 from repro.errors import NetworkError, TimingError
 from repro.network.network import Network
 
-DelaySpec = "float | tuple[float, float]"
+
+def _bound(value, delay) -> tuple[float, float]:
+    """``(lo, hi)`` from a number or a ``[lo, hi]`` pair of numbers."""
+    if isinstance(value, (tuple, list)):
+        if len(value) != 2:
+            raise TimingError(f"delay interval must be [lo, hi], got {value!r}")
+        lo, hi = value
+    else:
+        lo = hi = value
+    ends = []
+    for end in (lo, hi):
+        if isinstance(end, bool) or not isinstance(end, (int, float)):
+            raise TimingError(f"gate delay must be a number, got {delay!r}")
+        try:
+            end = float(end)  # an int past the float range overflows
+        except OverflowError:
+            end = math.inf
+        if not 0 <= end < math.inf:
+            raise TimingError(
+                f"gate delay must be finite and non-negative, got {delay!r}"
+            )
+        ends.append(end)
+    lo, hi = ends
+    if lo > hi:
+        raise TimingError(f"delay interval has lo > hi: {delay!r}")
+    return (lo, hi)
 
 
-def _normalize(delay) -> tuple[float, float]:
-    """(fall, rise) pair from a scalar or 2-tuple specification."""
+def normalize_delay(delay) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``((fall_lo, fall_hi), (rise_lo, rise_hi))`` from any accepted form,
+    so ``entry[value]`` is the bound toward stabilizing at ``value``.
+
+    * a number ``d`` — the point interval ``[d, d]`` for rise and fall;
+    * a ``(rise, fall)`` pair, each a number or a ``[lo, hi]`` bound.
+
+    Every delay must be a finite non-negative number (booleans, NaN and
+    infinities raise :class:`TimingError`), and ``lo <= hi``.
+    """
     if isinstance(delay, (tuple, list)):
         if len(delay) != 2:
             raise TimingError(f"delay pair must have two entries, got {delay!r}")
-        rise, fall = float(delay[0]), float(delay[1])
+        rise, fall = _bound(delay[0], delay), _bound(delay[1], delay)
     else:
-        rise = fall = float(delay)
-    if rise < 0 or fall < 0:
-        raise TimingError(f"gate delay must be non-negative, got {delay!r}")
+        rise = fall = _bound(delay, delay)
     return (fall, rise)
 
 
+def _is_point(entry) -> bool:
+    (fall_lo, fall_hi), (rise_lo, rise_hi) = entry
+    return fall_lo == fall_hi and rise_lo == rise_hi
+
+
+def _max_bounds(entry) -> tuple[float, float]:
+    """Bounds of ``max(rise, fall)``: rise and fall float independently."""
+    fall, rise = entry
+    return (max(fall[0], rise[0]), max(fall[1], rise[1]))
+
+
 class DelayModel:
-    """Maximum gate delays under the XBD0 model.
+    """Gate delays under the XBD0 model.
 
     ``overrides`` assigns specific delays by node name; every other gate
-    gets ``default``.  Each delay is a scalar or a ``(rise, fall)`` pair.
+    gets ``default``.  Each delay is a number or a ``(rise, fall)`` pair,
+    and each rise or fall delay a number or a ``[lo, hi]`` bound.
     Primary inputs have no delay (arrival times are boundary conditions,
     not gate properties).
     """
 
     def __init__(self, default=1.0, overrides: Mapping[str, object] | None = None):
-        self._default = _normalize(default)
-        self._overrides: dict[str, tuple[float, float]] = {
-            name: _normalize(d) for name, d in (overrides or {}).items()
+        self._default = normalize_delay(default)
+        self._overrides: dict[str, tuple] = {
+            name: normalize_delay(d) for name, d in (overrides or {}).items()
         }
 
+    @classmethod
+    def _build(cls, default, overrides: dict[str, tuple]) -> "DelayModel":
+        model = cls.__new__(cls)
+        model._default = default
+        model._overrides = overrides
+        return model
+
+    def _map(self, fn) -> "DelayModel":
+        """A copy with ``fn`` applied to every normalized entry."""
+        return self._build(
+            fn(self._default),
+            {name: fn(entry) for name, entry in self._overrides.items()},
+        )
+
+    # ------------------------------------------------------------------
+    # what the engines read: the hi corner
+    # ------------------------------------------------------------------
     @property
     def default(self) -> float:
-        """The default maximum delay (max of rise/fall)."""
-        return max(self._default)
+        """The default maximum delay (hi bound, max of rise/fall)."""
+        return _max_bounds(self._default)[1]
 
     @property
     def overrides(self) -> dict[str, float]:
-        """Per-gate maximum delays (max of rise/fall), for reporting."""
-        return {name: max(pair) for name, pair in self._overrides.items()}
+        """Per-gate maximum delays (hi bound, max of rise/fall), for
+        reporting."""
+        return {name: _max_bounds(e)[1] for name, e in self._overrides.items()}
 
     def of(self, node_name: str) -> float:
-        """Maximum delay of the named gate (max over rise/fall)."""
-        return max(self._overrides.get(node_name, self._default))
+        """Maximum delay of the named gate (hi bound, max over rise/fall)."""
+        fall, rise = self._overrides.get(node_name, self._default)
+        return max(fall[1], rise[1])
 
     def of_value(self, node_name: str, value: int) -> float:
-        """Delay toward stabilizing at ``value``: rise delay for 1, fall
-        delay for 0 (footnote 1 of the paper)."""
-        fall, rise = self._overrides.get(node_name, self._default)
-        return rise if value else fall
+        """Maximum delay toward stabilizing at ``value``: rise for 1, fall
+        for 0 (footnote 1 of the paper), at the hi bound."""
+        return self._overrides.get(node_name, self._default)[value][1]
 
     def is_value_dependent(self) -> bool:
         """True when any gate distinguishes rise from fall."""
-        if self._default[0] != self._default[1]:
-            return True
-        return any(fall != rise for fall, rise in self._overrides.values())
+        return any(
+            fall != rise
+            for fall, rise in (self._default, *self._overrides.values())
+        )
 
+    # ------------------------------------------------------------------
+    # bounds
+    # ------------------------------------------------------------------
+    def of_bounds(self, node_name: str) -> tuple[float, float]:
+        """``(lo, hi)`` bounds of the gate's maximum delay, ``max(rise,
+        fall)``: ``[max(rise_lo, fall_lo), max(rise_hi, fall_hi)]``."""
+        return _max_bounds(self._overrides.get(node_name, self._default))
+
+    def is_point(self) -> bool:
+        """True when every bound is a point (``lo == hi``): the model
+        carries no delay uncertainty."""
+        return _is_point(self._default) and all(
+            _is_point(entry) for entry in self._overrides.values()
+        )
+
+    def _corner(self, end: int) -> "DelayModel":
+        return self._map(lambda entry: tuple((b[end], b[end]) for b in entry))
+
+    def lo_model(self) -> "DelayModel":
+        """The best-case point model (every delay at its lo bound)."""
+        return self._corner(0)
+
+    def hi_model(self) -> "DelayModel":
+        """The worst-case point model (every delay at its hi bound)."""
+        return self._corner(1)
+
+    def widened(self, widen: float) -> "DelayModel":
+        """Every bound widened by ``widen`` on each side (lo clamped at 0)."""
+        if not 0 <= widen < math.inf:
+            raise TimingError(
+                f"widen must be finite and non-negative, got {widen!r}"
+            )
+        return self._map(
+            lambda entry: tuple((max(0.0, lo - widen), hi + widen) for lo, hi in entry)
+        )
+
+    # ------------------------------------------------------------------
+    # edits, restriction, serialization
+    # ------------------------------------------------------------------
     def with_override(self, node_name: str, delay) -> "DelayModel":
         """A copy with ``node_name``'s delay replaced (the ECO edit path)."""
-        model = DelayModel.__new__(DelayModel)
-        model._default = self._default
-        model._overrides = dict(self._overrides)
-        model._overrides[node_name] = _normalize(delay)
-        return model
+        return self._build(
+            self._default, {**self._overrides, node_name: normalize_delay(delay)}
+        )
 
     def restricted_to(
         self, network: Network, outputs: Iterable[str] | None = None
@@ -113,42 +210,52 @@ class DelayModel:
         matching the CLI's unknown-output error contract.
         """
         keep = _restriction_names(network, outputs)
-        model = DelayModel.__new__(DelayModel)
-        model._default = self._default
-        model._overrides = {
-            name: pair
-            for name, pair in self._overrides.items()
-            if name in keep
-        }
-        return model
+        return self._build(
+            self._default,
+            {name: e for name, e in self._overrides.items() if name in keep},
+        )
 
     def to_spec(self) -> dict:
-        """A JSON-serializable ``{default, overrides}`` description, each
-        delay as a ``[rise, fall]`` pair (the constructor's input order)."""
-        fall, rise = self._default
-        return {
-            "default": [rise, fall],
-            "overrides": {
-                name: [r, f] for name, (f, r) in sorted(self._overrides.items())
-            },
+        """A JSON-serializable ``{default, overrides}`` description.
+
+        A point model writes each delay as a ``[rise, fall]`` pair (the
+        constructor's input order); a model with any non-point bound
+        writes ``"model": "interval"`` and each delay as
+        ``[[rise_lo, rise_hi], [fall_lo, fall_hi]]``.  Overrides are
+        sorted, so equal models give equal specs (and cache keys).
+        """
+        point = self.is_point()
+
+        def write(entry):
+            fall, rise = entry
+            return [rise[1], fall[1]] if point else [list(rise), list(fall)]
+
+        spec = {} if point else {"model": "interval"}
+        spec["default"] = write(self._default)
+        spec["overrides"] = {
+            name: write(e) for name, e in sorted(self._overrides.items())
         }
+        return spec
 
     @classmethod
     def from_spec(cls, spec: Mapping) -> "DelayModel":
-        """Rebuild a model from :meth:`to_spec` output.
+        """Rebuild a model from :meth:`to_spec` output, in either layout.
 
-        Hand-written specs (the CLI's ``--delay-spec``) may use a plain
-        number wherever a ``[rise, fall]`` pair is allowed, exactly as
-        the constructor does.
+        Hand-written specs (the CLI's ``--delay-spec``) may use any form
+        the constructor accepts wherever a delay is expected.  An
+        unknown ``"model"`` marker raises :class:`TimingError`.
         """
-
-        def shape(value):
-            return value if isinstance(value, (int, float)) else tuple(value)
-
-        return cls(
-            shape(spec.get("default", (1.0, 1.0))),
-            {name: shape(pair) for name, pair in spec.get("overrides", {}).items()},
-        )
+        if not isinstance(spec, Mapping):
+            raise TimingError(f"a delay spec is a JSON object, got {spec!r}")
+        kind = spec.get("model", "scalar")
+        if kind not in ("scalar", "interval"):
+            raise TimingError(
+                f"unknown delay model {kind!r} (choose from ['scalar', 'interval'])"
+            )
+        overrides = spec.get("overrides", {})
+        if not isinstance(overrides, Mapping):
+            raise TimingError(f"delay overrides are a JSON object, got {overrides!r}")
+        return cls(spec.get("default", 1.0), overrides)
 
     def validate(self, network: Network) -> None:
         """Check every override names a node of ``network`` (raises)."""
@@ -158,7 +265,7 @@ class DelayModel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DelayModel default={self._default} "
-            f"overrides={len(self._overrides)}>"
+            f"overrides={len(self._overrides)} point={self.is_point()}>"
         )
 
 
@@ -182,267 +289,6 @@ def _restriction_names(
     return transitive_fanin(network, names)
 
 
-def _normalize_bounds(delay) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((fall_lo, fall_hi), (rise_lo, rise_hi)) from any accepted form.
-
-    Accepted forms, mirroring the scalar model's constructor plus the
-    interval extension (docs/DELAY_MODELS.md):
-
-    * scalar ``d`` — point interval, rise = fall;
-    * ``(rise, fall)`` pair of scalars — point intervals per value;
-    * ``([rise_lo, rise_hi], [fall_lo, fall_hi])`` — full intervals
-      (either entry may still be a scalar, promoted to a point).
-    """
-    def one(value) -> tuple[float, float]:
-        if isinstance(value, (tuple, list)):
-            if len(value) != 2:
-                raise TimingError(
-                    f"delay interval must be [lo, hi], got {value!r}"
-                )
-            lo, hi = float(value[0]), float(value[1])
-        else:
-            lo = hi = float(value)
-        if lo < 0 or hi < 0:
-            raise TimingError(f"gate delay must be non-negative, got {value!r}")
-        if lo > hi:
-            raise TimingError(f"delay interval has lo > hi: {value!r}")
-        return (lo, hi)
-
-    if isinstance(delay, (tuple, list)):
-        if len(delay) != 2:
-            raise TimingError(f"delay pair must have two entries, got {delay!r}")
-        rise, fall = one(delay[0]), one(delay[1])
-    else:
-        rise = fall = one(delay)
-    return (fall, rise)
-
-
-class IntervalDelayModel:
-    """Min/max rise/fall gate-delay bounds — the interval delay model.
-
-    Each gate's rise delay floats in ``[rise_lo, rise_hi]`` and its fall
-    delay in ``[fall_lo, fall_hi]``.  The scalar-model interface
-    (``of`` / ``of_value``) returns the **hi** bounds, so χ-based
-    engines consume the worst-case corner unchanged and stay safe for
-    every delay assignment in the box; a point interval ``[d, d]`` is
-    therefore bit-identical to the scalar model by construction.  The
-    ``*_bounds`` accessors expose both ends for interval arithmetic.
-    """
-
-    def __init__(self, default=1.0, overrides: Mapping[str, object] | None = None):
-        self._default = _normalize_bounds(default)
-        self._overrides: dict[str, tuple[tuple[float, float], tuple[float, float]]] = {
-            name: _normalize_bounds(d) for name, d in (overrides or {}).items()
-        }
-
-    # ------------------------------------------------------------------
-    # scalar-compatible interface (hi bounds: the conservative corner)
-    # ------------------------------------------------------------------
-    @property
-    def default(self) -> float:
-        """The default maximum delay (hi bound, max of rise/fall)."""
-        fall, rise = self._default
-        return max(fall[1], rise[1])
-
-    @property
-    def overrides(self) -> dict[str, float]:
-        """Per-gate maximum delays (hi bound of max(rise, fall))."""
-        return {
-            name: max(fall[1], rise[1])
-            for name, (fall, rise) in self._overrides.items()
-        }
-
-    def of(self, node_name: str) -> float:
-        """Maximum delay hi bound of the named gate (max over rise/fall)."""
-        fall, rise = self._overrides.get(node_name, self._default)
-        return max(fall[1], rise[1])
-
-    def of_value(self, node_name: str, value: int) -> float:
-        """Hi bound toward stabilizing at ``value``: rise for 1, fall
-        for 0 — what the χ recursion consumes."""
-        fall, rise = self._overrides.get(node_name, self._default)
-        return rise[1] if value else fall[1]
-
-    def is_value_dependent(self) -> bool:
-        """True when any gate distinguishes rise from fall bounds."""
-        if self._default[0] != self._default[1]:
-            return True
-        return any(fall != rise for fall, rise in self._overrides.values())
-
-    # ------------------------------------------------------------------
-    # interval accessors
-    # ------------------------------------------------------------------
-    def of_bounds(self, node_name: str) -> tuple[float, float]:
-        """``[lo, hi]`` bounds of the gate's maximum delay.
-
-        Rise and fall float independently, so the value-independent
-        maximum ``max(rise, fall)`` spans ``[max(rise_lo, fall_lo),
-        max(rise_hi, fall_hi)]``.
-        """
-        fall, rise = self._overrides.get(node_name, self._default)
-        return (max(fall[0], rise[0]), max(fall[1], rise[1]))
-
-    def of_value_bounds(self, node_name: str, value: int) -> tuple[float, float]:
-        """``[lo, hi]`` bounds toward stabilizing at ``value``."""
-        fall, rise = self._overrides.get(node_name, self._default)
-        return rise if value else fall
-
-    def is_point(self) -> bool:
-        """True when every interval is degenerate (``lo == hi``) — the
-        case guaranteed bit-identical to the scalar model."""
-        def point(entry) -> bool:
-            fall, rise = entry
-            return fall[0] == fall[1] and rise[0] == rise[1]
-
-        return point(self._default) and all(
-            point(entry) for entry in self._overrides.values()
-        )
-
-    def hi_model(self) -> DelayModel:
-        """The scalar worst-case projection (every delay at its hi bound)."""
-        fall, rise = self._default
-        return DelayModel(
-            default=(rise[1], fall[1]),
-            overrides={
-                name: (r[1], f[1]) for name, (f, r) in self._overrides.items()
-            },
-        )
-
-    def lo_model(self) -> DelayModel:
-        """The scalar best-case projection (every delay at its lo bound)."""
-        fall, rise = self._default
-        return DelayModel(
-            default=(rise[0], fall[0]),
-            overrides={
-                name: (r[0], f[0]) for name, (f, r) in self._overrides.items()
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # construction / mutation / serialization (scalar-model parity)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_scalar(
-        cls, model: DelayModel, widen: float = 0.0
-    ) -> "IntervalDelayModel":
-        """Point intervals from a scalar model, optionally widened by
-        ``widen`` on each side (lo clamped at 0)."""
-        if widen < 0:
-            raise TimingError(f"widen must be non-negative, got {widen!r}")
-
-        def spread(pair):
-            fall, rise = pair
-            return (
-                [max(0.0, rise - widen), rise + widen],
-                [max(0.0, fall - widen), fall + widen],
-            )
-
-        fall, rise = model._default
-        return cls(
-            default=spread((fall, rise)),
-            overrides={
-                name: spread(pair)
-                for name, pair in model._overrides.items()
-            },
-        )
-
-    def with_override(self, node_name: str, delay) -> "IntervalDelayModel":
-        """A copy with ``node_name``'s bounds replaced (accepts every
-        scalar form too — a scalar/pair becomes a point interval, which
-        keeps :class:`~repro.eco.edits.SetDelay` edits working unchanged)."""
-        model = IntervalDelayModel.__new__(IntervalDelayModel)
-        model._default = self._default
-        model._overrides = dict(self._overrides)
-        model._overrides[node_name] = _normalize_bounds(delay)
-        return model
-
-    def restricted_to(
-        self, network: Network, outputs: Iterable[str] | None = None
-    ) -> "IntervalDelayModel":
-        """A copy keeping only overrides naming nodes of ``network`` (or
-        of the ``outputs`` cones); unknown output names raise a typed
-        :class:`~repro.errors.NetworkError` — same contract as the
-        scalar model."""
-        keep = _restriction_names(network, outputs)
-        model = IntervalDelayModel.__new__(IntervalDelayModel)
-        model._default = self._default
-        model._overrides = {
-            name: entry
-            for name, entry in self._overrides.items()
-            if name in keep
-        }
-        return model
-
-    def to_spec(self) -> dict:
-        """A JSON-serializable description with a ``"model": "interval"``
-        marker.
-
-        The marker is what keeps interval cache digests disjoint from
-        scalar ones: a scalar spec has no ``model`` key (its byte layout
-        predates this class and must stay stable so existing digests
-        remain reachable), so even a *point* interval model keys
-        differently from the scalar model it degenerates to.  Each delay
-        is ``[[rise_lo, rise_hi], [fall_lo, fall_hi]]``.
-        """
-        fall, rise = self._default
-        return {
-            "model": "interval",
-            "default": [list(rise), list(fall)],
-            "overrides": {
-                name: [list(r), list(f)]
-                for name, (f, r) in sorted(self._overrides.items())
-            },
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "IntervalDelayModel":
-        """Rebuild a model from :meth:`to_spec` output."""
-        model = spec.get("model", "interval")
-        if model != "interval":
-            raise TimingError(
-                f"not an interval delay spec (model={model!r})"
-            )
-        return cls(
-            spec.get("default", 1.0),
-            {name: d for name, d in spec.get("overrides", {}).items()},
-        )
-
-    def validate(self, network: Network) -> None:
-        """Check every override names a node of ``network`` (raises)."""
-        for name in self._overrides:
-            network.node(name)  # raises on unknown nodes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<IntervalDelayModel default={self._default} "
-            f"overrides={len(self._overrides)} point={self.is_point()}>"
-        )
-
-
-def delay_model_from_spec(spec: Mapping):
-    """Dispatch a delay spec to the model class it describes.
-
-    A spec without a ``model`` key (or with ``"model": "scalar"``) is
-    the historical scalar format and builds a :class:`DelayModel`;
-    ``"model": "interval"`` builds an :class:`IntervalDelayModel`.
-    Unknown model names raise :class:`~repro.errors.TimingError`.
-    """
-    kind = spec.get("model", "scalar")
-    if kind == "scalar":
-        return DelayModel.from_spec(spec)
-    if kind == "interval":
-        return IntervalDelayModel.from_spec(spec)
-    raise TimingError(
-        f"unknown delay model {kind!r} (choose from ['scalar', 'interval'])"
-    )
-
-
 def unit_delay() -> DelayModel:
     """The paper's experimental delay model: every gate has delay 1."""
     return DelayModel(default=1.0)
-
-
-def unit_interval_delay() -> IntervalDelayModel:
-    """The unit delay model as point intervals ``[1, 1]`` — what
-    ``--delay-model interval`` uses when no spec is given."""
-    return IntervalDelayModel.from_scalar(unit_delay())

@@ -12,7 +12,8 @@ This module provides:
   sensitization is the classical — and famously *approximate* — criterion
   (Section 2's references [5, 6] discuss why); it is exposed for study,
   not as the arbiter;
-* :func:`classify_path` — a sound three-way verdict under XBD0:
+* :func:`classify_paths` / :func:`classify_path` — a sound three-way
+  verdict under XBD0:
 
   - ``"false"`` when the path is longer than its endpoint's exact arrival
     time (no event along it can ever be the last to arrive),
@@ -110,18 +111,22 @@ def static_sensitization_condition(
     network: Network,
     path: Path | Sequence[str],
     manager: BddManager | None = None,
+    funcs: Mapping[str, BddNode] | None = None,
 ) -> BddNode:
     """The set of input vectors statically sensitizing the path.
 
     For every on-path gate g with on-path fanin m, the condition requires
     the Boolean difference ∂f_g/∂m to hold: with the side inputs at their
-    (global) values, g's output flips when m flips.
+    (global) values, g's output flips when m flips.  ``funcs`` are the
+    global functions of ``network`` in ``manager``; a caller checking
+    many paths builds them once.
     """
     nodes = tuple(path.nodes) if isinstance(path, Path) else tuple(path)
     if len(nodes) < 2:
         raise TimingError("a path needs at least an input and one gate")
     manager = manager or create_manager()
-    funcs = global_functions(network, manager)
+    if funcs is None:
+        funcs = global_functions(network, manager)
 
     condition = manager.true
     for prev, name in zip(nodes, nodes[1:]):
@@ -157,6 +162,45 @@ def is_statically_sensitizable(
 Verdict = Literal["false", "true", "undetermined"]
 
 
+def classify_paths(
+    network: Network,
+    paths: Sequence[Path],
+    delays: DelayModel | None = None,
+    arrivals: Mapping[str, float] | None = None,
+    engine: Literal["bdd", "sat"] = "bdd",
+) -> list[Verdict]:
+    """Sound three-way classification of each path under XBD0 (see the
+    module docstring for the exact semantics of each verdict), on one
+    engine: one true arrival per distinct endpoint, and one set of global
+    functions for every static sensitization check."""
+    for path in paths:
+        if path.end not in network.outputs:
+            raise TimingError(f"path endpoint {path.end!r} is not a primary output")
+    ft = FunctionalTiming(network, delays, arrivals, engine=engine)
+    true_arrivals: dict[str, float] = {}
+    manager = funcs = None
+    verdicts: list[Verdict] = []
+    for path in paths:
+        if path.end not in true_arrivals:
+            true_arrivals[path.end] = ft.true_arrival(path.end)
+        start_arrival = ft.arrivals.get(path.start, 0.0)
+        if isinstance(start_arrival, (tuple, list)):
+            start_arrival = max(start_arrival)
+        path_arrival = float(start_arrival) + path.delay
+        verdict: Verdict = "undetermined"
+        if path_arrival > true_arrivals[path.end]:
+            verdict = "false"
+        elif path_arrival == true_arrivals[path.end]:
+            if funcs is None:
+                manager = create_manager()
+                funcs = global_functions(network, manager)
+            condition = static_sensitization_condition(network, path, manager, funcs)
+            if not condition.is_false:
+                verdict = "true"
+        verdicts.append(verdict)
+    return verdicts
+
+
 def classify_path(
     network: Network,
     path: Path,
@@ -164,27 +208,8 @@ def classify_path(
     arrivals: Mapping[str, float] | None = None,
     engine: Literal["bdd", "sat"] = "bdd",
 ) -> Verdict:
-    """Sound three-way classification of one path under XBD0 (see the
-    module docstring for the exact semantics of each verdict)."""
-    if path.end not in network.outputs:
-        raise TimingError(f"path endpoint {path.end!r} is not a primary output")
-    ft = FunctionalTiming(network, delays, arrivals, engine=engine)
-    return _verdict(network, path, ft.arrivals, ft.true_arrival(path.end))
-
-
-def _verdict(
-    network: Network, path: Path, arrivals: Mapping[str, object], true_arrival: float
-) -> Verdict:
-    """The verdict on ``path`` given its endpoint's true arrival."""
-    start_arrival = arrivals.get(path.start, 0.0)
-    if isinstance(start_arrival, (tuple, list)):
-        start_arrival = max(start_arrival)
-    path_arrival = float(start_arrival) + path.delay
-    if path_arrival > true_arrival:
-        return "false"
-    if path_arrival == true_arrival and is_statically_sensitizable(network, path):
-        return "true"
-    return "undetermined"
+    """:func:`classify_paths` of one path."""
+    return classify_paths(network, [path], delays, arrivals, engine)[0]
 
 
 def false_path_report(
@@ -196,8 +221,7 @@ def false_path_report(
     """Counts of path verdicts across the whole network — a quick summary
     of how false-path-rich a circuit is."""
     counts = {"false": 0, "true": 0, "undetermined": 0}
-    ft = FunctionalTiming(network, delays, arrivals, engine="bdd")
-    true_arrivals = {o: ft.true_arrival(o) for o in network.outputs}
-    for path in enumerate_paths(network, delays, max_paths=max_paths):
-        counts[_verdict(network, path, ft.arrivals, true_arrivals[path.end])] += 1
+    paths = enumerate_paths(network, delays, max_paths=max_paths)
+    for verdict in classify_paths(network, paths, delays, arrivals):
+        counts[verdict] += 1
     return counts

@@ -16,7 +16,7 @@ from typing import Mapping
 from repro.errors import TimingError
 from repro.network.network import Network
 from repro.obs.trace import span
-from repro.timing.delay import DelayModel, IntervalDelayModel, unit_delay
+from repro.timing.delay import DelayModel, unit_delay
 
 
 def arrival_times(
@@ -118,27 +118,31 @@ def required_map(
 
     The single normalization every engine entry point, cache key, cone
     task and ECO session uses.  A map must name every primary output and
-    nothing else: a missing output or a non-output name raises
-    :class:`TimingError`, so a bad request fails the same way on every
-    path, before any engine run or cache probe.
+    nothing else: a missing output, a non-output name or a NaN time
+    raises :class:`TimingError`, so a bad request fails the same way on
+    every path, before any engine run or cache probe.
     """
     if not isinstance(output_required, Mapping):
-        return {o: float(output_required) for o in network.outputs}
-    missing = set(network.outputs) - set(output_required)
-    if missing:
-        raise TimingError(f"missing required times for outputs {sorted(missing)}")
-    extra = set(output_required) - set(network.outputs)
-    if extra:
-        raise TimingError(f"required times given for non-outputs {sorted(extra)}")
-    return {o: float(output_required[o]) for o in network.outputs}
+        out = dict.fromkeys(network.outputs, float(output_required))
+    else:
+        missing = set(network.outputs) - set(output_required)
+        if missing:
+            raise TimingError(f"missing required times for outputs {sorted(missing)}")
+        extra = set(output_required) - set(network.outputs)
+        if extra:
+            raise TimingError(f"required times given for non-outputs {sorted(extra)}")
+        out = {o: float(output_required[o]) for o in network.outputs}
+    if any(math.isnan(t) for t in out.values()):
+        raise TimingError(f"required time is NaN: {output_required!r}")
+    return out
 
 
 def required_time_bounds(
     network: Network,
-    delays: IntervalDelayModel,
+    delays: DelayModel | None = None,
     output_required: Mapping[str, float] | float = 0.0,
 ) -> dict[str, tuple[float, float]]:
-    """Figure-3 backward propagation under interval delays.
+    """Figure-3 backward propagation under delay bounds.
 
     Every gate delay floats in its ``[lo, hi]`` box independently, so the
     topological required time of each node spans an interval too:
@@ -155,6 +159,7 @@ def required_time_bounds(
     running :func:`required_times` once per corner — point intervals
     collapse both corners onto the scalar result (docs/DELAY_MODELS.md).
     """
+    delays = delays or unit_delay()
     req_out = required_map(network, output_required)
     lo: dict[str, float] = {name: math.inf for name in network.nodes}
     hi: dict[str, float] = {name: math.inf for name in network.nodes}

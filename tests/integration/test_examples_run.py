@@ -56,3 +56,9 @@ class TestExamples:
         assert "verdict census" in out
         assert "[false]" in out
         assert "timing report" in out
+
+    def test_interval_timing(self):
+        out = run_example("interval_timing")
+        assert out.count("scalar row == point-interval row") == 4
+        assert "lo-corner (best_upper) nontrivial" in out
+        assert '"model": "interval"' in out

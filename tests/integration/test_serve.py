@@ -185,6 +185,37 @@ class TestBoundaryConditions:
             assert status == 400 and payload["error"] == "TimingError"
 
 
+    def test_non_finite_delays_are_400_bad_delays(self, client):
+        for delays in ({"default": float("nan")}, {"default": 1.0,
+                       "overrides": {"G22": [float("inf"), 1.0]}},
+                       {"default": 10**400}):
+            status, payload, _ = client.post(
+                "/required",
+                {"circuit": {"netlist": C17_BLIF}, "method": "approx1",
+                 "delays": delays},
+            )
+            assert status == 400, payload
+            assert payload["error"] == "bad-delays"
+            assert "finite" in payload["message"]
+
+    def test_nan_output_required_is_400(self, client):
+        for required in (float("nan"), {"G22": 1.0, "G23": float("nan")}):
+            for path in ("/required", "/sessions"):
+                status, payload, _ = self.post(client, path, required)
+                assert status == 400, payload
+                assert payload["error"] == "TimingError"
+                assert "NaN" in payload["message"]
+
+    def test_delay_model_option_is_400_bad_options(self, client):
+        status, payload, _ = client.post(
+            "/required",
+            {"circuit": {"netlist": C17_BLIF}, "method": "topological",
+             "options": {"delay_model": "interval"}},
+        )
+        assert status == 400, payload
+        assert payload["error"] == "bad-options"
+
+
 class TestCoalescing:
     def test_identical_concurrent_requests_share_one_computation(self, cached_server):
         client = ServeClient(cached_server.port)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.circuits import carry_skip_block, figure4
+from repro.circuits import carry_skip_adder, carry_skip_block, figure4
 from repro.cli import main
 from repro.network import write_bench, write_blif
 
@@ -114,6 +114,32 @@ class TestPaths:
         out = capsys.readouterr().out
         assert "false" in out
         assert "->" in out
+
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    @pytest.mark.parametrize(
+        "builder, lines",
+        [
+            (carry_skip_block, [
+                "1 longest path(s), delay 8:",
+                "  [       false] cin -> cin_d1 -> cin_d2 -> a1 -> c1 -> a2 -> c2 "
+                "-> v -> cout",
+            ]),
+            (lambda: carry_skip_adder(3, 3), [
+                "4 longest path(s), delay 13:",
+                *(
+                    f"  [       false] {start} -> {via} -> c1 -> c2 -> c3 -> skip0 "
+                    "-> c4 -> c5 -> c6 -> skip1 -> c7 -> c8 -> c9 -> skip2"
+                    for start in ("a0", "b0") for via in ("g0", "p0")
+                ),
+            ]),
+        ],
+        ids=["carry_skip_block", "carry_skip_adder_3_3"],
+    )
+    def test_verdict_lines_are_fixed(self, tmp_path, capsys, builder, lines, engine):
+        path = tmp_path / "net.blif"
+        path.write_text(write_blif(builder()))
+        assert main(["paths", str(path), "--engine", engine]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 class TestReport:

@@ -104,6 +104,11 @@ INVALID_EDITS = [
     pytest.param(SetDelay(name="G10", delay=(1.0, -2.0)),
                  id="delay-negative-fall"),
     pytest.param(SetDelay(name="G10", delay="fast"), id="delay-non-numeric"),
+    pytest.param(SetDelay(name="G10", delay=float("nan")), id="delay-nan"),
+    pytest.param(SetDelay(name="G10", delay=float("inf")), id="delay-inf"),
+    pytest.param(SetDelay(name="G10", delay=True), id="delay-bool"),
+    pytest.param(SetDelay(name="G10", delay=([2.0, 1.0], 1.0)),
+                 id="delay-lo-above-hi"),
     pytest.param(RetargetOutputs(outputs=()), id="outputs-empty"),
     pytest.param(RetargetOutputs(outputs=("nope",)), id="outputs-unknown"),
     pytest.param(RetargetOutputs(outputs=("G22", "G22")),
@@ -114,6 +119,9 @@ INVALID_EDITS = [
     pytest.param(
         RetargetOutputs(outputs=("G22",), required=(("G22", "soon"),)),
         id="outputs-required-not-a-number"),
+    pytest.param(
+        RetargetOutputs(outputs=("G22",), required=(("G22", float("nan")),)),
+        id="outputs-required-nan"),
 ]
 
 
@@ -230,6 +238,18 @@ class TestSessionBasics:
         assert result.candidates == ["G22"]
         assert after["G23"] == before["G23"]
         assert after["G22"] != before["G22"]
+        assert session.verify_against_full_recompute() == []
+
+    def test_widened_set_delay_keeps_parity_in_other_cones(self):
+        # the interval stamp follows the cone's own restricted model, so
+        # cone G23 keeps its point row after G22 gains a [lo, hi] bound
+        session = NetworkSession(c17())
+        result = session.apply_edit(
+            SetDelay(name="G22", delay=([0.5, 1.5], [0.5, 1.5]))
+        )
+        assert result.candidates == ["G22"]
+        assert "interval" in session.rows()["G22"]["digest"]
+        assert "interval" not in session.rows()["G23"]["digest"]
         assert session.verify_against_full_recompute() == []
 
     def test_apply_trace_applies_in_order(self):

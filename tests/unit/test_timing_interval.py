@@ -1,6 +1,7 @@
-"""Unit tests for the interval delay model (docs/DELAY_MODELS.md)."""
+"""Unit tests for the delay model's [lo, hi] bounds (docs/DELAY_MODELS.md)."""
 
 import json
+import math
 
 import pytest
 
@@ -18,19 +19,27 @@ from repro.fuzz import (
     generate_interval_case,
     run_interval_differential,
 )
+from repro.fuzz.interval import interval_layout
 from repro.network import write_blif
 from repro.timing import (
     DelayModel,
-    IntervalDelayModel,
-    delay_model_from_spec,
     required_time_bounds,
     required_times,
     unit_delay,
-    unit_interval_delay,
 )
 
 #: the five example circuits the degeneracy goldens run on
 EXAMPLES = (figure4, figure6, figure6_extended, c17, carry_skip_block)
+
+#: digests recorded before the interval model folded into DelayModel,
+#: under the object kernel (which keys with no ``backend`` entry, so the
+#: pins hold whatever kernel the suite runs on); a change that re-keys
+#: any of them orphans existing cache entries
+PINNED_DIGESTS = {
+    "c17-exact-unit": "94d7a23d22c5b7d3d9461a393645fe282c61467b01b82da8cf35494538e23a75",
+    "c17-exact-risefall": "f470e0f9382cd139317a04f6eb928396ebd6ad8e840de08ce64fb9a76d371517",
+    "c17-approx2-widened": "cc8169bcff80b3bba5e4ac6f81a80851ead9eacaab2272878b2712f3a2edbd0d",
+}
 
 
 def canonical_row(net, method, delays, required=0.0, **options):
@@ -41,11 +50,14 @@ def canonical_row(net, method, delays, required=0.0, **options):
     return CachedRequiredResult.from_report(report, baseline).row()
 
 
+def point_model(model):
+    """``model`` read back from its interval-layout spec (lo == hi)."""
+    return DelayModel.from_spec(interval_layout(model.to_spec()))
+
+
 class TestIntervalModel:
     def test_point_model_matches_scalar_projection(self):
-        model = IntervalDelayModel.from_scalar(
-            DelayModel(default=2.0, overrides={"g": (3.0, 1.0)})
-        )
+        model = point_model(DelayModel(default=2.0, overrides={"g": (3.0, 1.0)}))
         assert model.is_point()
         assert model.of("x") == 2.0
         assert model.of_value("g", 1) == 3.0
@@ -53,55 +65,59 @@ class TestIntervalModel:
         assert model.of_bounds("g") == (3.0, 3.0)
 
     def test_widen_clamps_lo_at_zero(self):
-        model = IntervalDelayModel.from_scalar(unit_delay(), widen=2.0)
+        model = unit_delay().widened(2.0)
         lo, hi = model.of_bounds("anything")
         assert lo == 0.0 and hi == 3.0
 
     def test_negative_widen_rejected(self):
         with pytest.raises(TimingError):
-            IntervalDelayModel.from_scalar(unit_delay(), widen=-0.5)
+            unit_delay().widened(-0.5)
 
     def test_lo_above_hi_rejected(self):
         with pytest.raises(TimingError):
-            IntervalDelayModel(default=([2.0, 1.0], [1.0, 1.0]))
+            DelayModel(default=([2.0, 1.0], [1.0, 1.0]))
 
     def test_corner_projections(self):
-        model = IntervalDelayModel(
+        model = DelayModel(
             default=([1.0, 2.0], [0.5, 1.5]),
             overrides={"g": ([2.0, 4.0], [2.0, 4.0])},
         )
         hi, lo = model.hi_model(), model.lo_model()
         assert hi.of_value("x", 1) == 2.0 and lo.of_value("x", 1) == 1.0
         assert hi.of("g") == 4.0 and lo.of("g") == 2.0
+        assert hi.is_point() and lo.is_point() and not model.is_point()
 
-    def test_unit_interval_delay_is_point_unit(self):
-        model = unit_interval_delay()
+    def test_unit_delay_is_point(self):
+        model = unit_delay()
         assert model.is_point()
-        assert model.of("n") == unit_delay().of("n")
+        assert model.of_bounds("n") == (1.0, 1.0)
 
 
 class TestSpecRoundTrip:
     def test_interval_round_trip(self):
-        model = IntervalDelayModel(
+        model = DelayModel(
             default=([1.0, 2.0], [0.5, 1.5]),
             overrides={"b": ([2.0, 3.0], [2.0, 3.0]), "a": 1.0},
         )
         spec = model.to_spec()
         assert spec["model"] == "interval"
-        again = IntervalDelayModel.from_spec(spec)
+        again = DelayModel.from_spec(spec)
         assert again.to_spec() == spec
         for name in ("x", "a", "b"):
             assert again.of_bounds(name) == model.of_bounds(name)
 
     def test_dispatcher_scalar_and_interval(self):
-        scalar = delay_model_from_spec({"default": 1.0, "overrides": {}})
-        assert isinstance(scalar, DelayModel)
-        interval = delay_model_from_spec(unit_interval_delay().to_spec())
-        assert isinstance(interval, IntervalDelayModel)
+        # both layouts read into the one model; a point reads as a scalar
+        scalar = DelayModel.from_spec({"default": 1.0, "overrides": {}})
+        interval = DelayModel.from_spec(unit_delay().widened(0.5).to_spec())
+        point = DelayModel.from_spec(interval_layout(unit_delay().to_spec()))
+        assert scalar.to_spec() == point.to_spec() == unit_delay().to_spec()
+        assert not interval.is_point()
+        assert interval.of_bounds("g") == (0.5, 1.5)
 
     def test_dispatcher_rejects_unknown_model(self):
         with pytest.raises(TimingError, match="unknown delay model"):
-            delay_model_from_spec({"model": "statistical", "default": 1.0})
+            DelayModel.from_spec({"model": "statistical", "default": 1.0})
 
     def test_scalar_spec_layout_unchanged_by_interval_support(self):
         # old digests stay reachable only if scalar specs never grew a marker
@@ -117,11 +133,11 @@ class TestRestrictedTo:
     def test_unknown_output_raises_typed_error_interval(self):
         net = figure4()
         with pytest.raises(NetworkError, match="unknown output"):
-            unit_interval_delay().restricted_to(net, outputs=["nope"])
+            unit_delay().widened(0.5).restricted_to(net, outputs=["nope"])
 
     def test_restriction_keeps_cone_overrides(self):
         net = c17()
-        model = IntervalDelayModel(
+        model = DelayModel(
             default=1.0,
             overrides={"G22": ([2.0, 3.0], [2.0, 3.0]),
                        "not-in-network": 9.0},
@@ -137,26 +153,23 @@ class TestPointScalarGoldens:
     def test_point_interval_row_equals_scalar_row(self, builder, method):
         net = builder()
         scalar_row = canonical_row(net, method, unit_delay())
-        point_row = canonical_row(
-            net, method, unit_interval_delay(), delay_model="interval"
-        )
+        point_row = canonical_row(net, method, point_model(unit_delay()))
         assert json.dumps(scalar_row, sort_keys=True) == json.dumps(
             point_row, sort_keys=True
         )
 
     def test_point_report_carries_no_interval_stamp(self):
         report = analyze_required_times(
-            figure4(), "topological", delays=unit_interval_delay(),
-            delay_model="interval",
+            figure4(), "topological", delays=point_model(unit_delay())
         )
         assert "interval" not in report.stats
         assert "interval" not in report.table_row()
 
     def test_widened_report_carries_interval_stamp(self):
-        model = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
+        model = unit_delay().widened(0.5)
         report = analyze_required_times(
             figure4(), "approx2", delays=model, output_required=2.0,
-            delay_model="interval", engine="sat",
+            engine="sat",
         )
         stamp = report.stats["interval"]
         assert stamp["point"] is False
@@ -169,13 +182,13 @@ class TestRequiredTimeBounds:
     def test_point_bounds_collapse_to_scalar(self):
         net = figure6()
         req = required_times(net, unit_delay(), 2.0)
-        bounds = required_time_bounds(net, unit_interval_delay(), 2.0)
+        bounds = required_time_bounds(net, point_model(unit_delay()), 2.0)
         for name in net.nodes:
             assert bounds[name] == (req[name], req[name])
 
     def test_bounds_equal_corner_runs(self):
         net = c17()
-        model = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
+        model = unit_delay().widened(0.5)
         lo_run = required_times(net, model.hi_model(), 0.0)
         hi_run = required_times(net, model.lo_model(), 0.0)
         bounds = required_time_bounds(net, model, 0.0)
@@ -184,33 +197,86 @@ class TestRequiredTimeBounds:
 
     def test_missing_output_required_raises(self):
         with pytest.raises(TimingError, match="missing required times"):
-            required_time_bounds(figure4(), unit_interval_delay(), {})
+            required_time_bounds(figure4(), unit_delay(), {})
 
 
 class TestCacheKeySensitivity:
     def test_explicit_scalar_keys_like_unset(self):
         net = figure4()
-        base = required_key(net, "approx1", unit_delay(), 2.0, {})
-        explicit = required_key(
-            net, "approx1", unit_delay(), 2.0, {"delay_model": "scalar"}
-        )
+        base = required_key(net, "approx1", None, 2.0, {})
+        explicit = required_key(net, "approx1", unit_delay(), 2.0, {})
         assert base.digest == explicit.digest
 
-    def test_interval_option_changes_key(self):
-        net = figure4()
-        base = required_key(net, "approx1", unit_delay(), 2.0, {})
-        interval = required_key(
-            net, "approx1", unit_delay(), 2.0, {"delay_model": "interval"}
+    def test_point_interval_spec_keys_like_scalar(self):
+        net = c17()
+        scalar = DelayModel(default=1.0, overrides={"G22": (2.0, 1.0)})
+        assert (
+            required_key(net, "exact", point_model(scalar), 0.0, {}).digest
+            == required_key(net, "exact", scalar, 0.0, {}).digest
         )
-        assert base.digest != interval.digest
+        widened = required_key(net, "exact", scalar.widened(0.5), 0.0, {})
+        assert widened.digest != required_key(net, "exact", scalar, 0.0, {}).digest
 
-    def test_point_interval_spec_changes_key(self):
-        # even a point interval model keys differently: the spec carries
-        # the "model" marker, so scalar digests can never alias interval
-        net = figure4()
-        scalar = required_key(net, "approx1", unit_delay(), 2.0, {})
-        point = required_key(net, "approx1", unit_interval_delay(), 2.0, {})
-        assert scalar.digest != point.digest
+    def test_digests_recorded_before_the_merge_repeat(self):
+        net = c17()
+        risefall = DelayModel(
+            default=1.0, overrides={"G22": (2.0, 1.0), "G16": (1.5, 3.0)}
+        )
+        widened = unit_delay().widened(0.5)
+        keys = {
+            "c17-exact-unit": required_key(
+                net, "exact", unit_delay(), 0.0, {"backend": "object"}
+            ),
+            "c17-exact-risefall": required_key(
+                net, "exact", risefall, 0.0, {"backend": "object"}
+            ),
+            "c17-approx2-widened": required_key(
+                net, "approx2", widened, 0.0, {"engine": "sat", "backend": "object"}
+            ),
+        }
+        assert {name: key.digest for name, key in keys.items()} == PINNED_DIGESTS
+
+    def test_widened_override_outside_network_stamps_like_its_key(self, tmp_path):
+        from repro.cache.layer import cached_analyze_required_times
+        from repro.cache.store import ResultCache
+
+        # the key hashes the model restricted to the network, so a bound
+        # on a node the network lacks must not stamp the shared row
+        net = c17()
+        model = DelayModel(default=1.0, overrides={"nope": ([0.5, 1.5], 1.0)})
+        assert required_key(net, "exact", model).digest == required_key(
+            net, "exact", None
+        ).digest
+        cache = ResultCache(str(tmp_path))
+        cold, hit = cached_analyze_required_times(net, "exact", cache, model)
+        assert not hit and "interval" not in cold.table_row()
+        warm, hit = cached_analyze_required_times(net, "exact", cache, None)
+        assert hit and "interval" not in warm.table_row()
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize(
+        "delay",
+        [math.nan, math.inf, -math.inf, True, (1.0, math.nan), ([1.0, math.inf], 1.0),
+         10**400],
+        ids=["nan", "inf", "-inf", "bool", "nan-fall", "inf-hi", "huge-int"],
+    )
+    def test_delay_model_refuses_non_finite_delays(self, delay):
+        with pytest.raises(TimingError):
+            DelayModel(default=delay)
+        with pytest.raises(TimingError):
+            DelayModel.from_spec({"default": 1.0, "overrides": {"z": delay}})
+        with pytest.raises(TimingError):
+            unit_delay().with_override("z", delay)
+
+    @pytest.mark.parametrize("method", ["topological", "exact", "approx1", "approx2"])
+    def test_nan_output_required_raises(self, method):
+        with pytest.raises(TimingError, match="NaN"):
+            analyze_required_times(figure4(), method, output_required=math.nan)
+        with pytest.raises(TimingError, match="NaN"):
+            analyze_required_times(
+                figure4(), method, output_required={"z": math.nan}
+            )
 
 
 class TestCli:
@@ -220,12 +286,14 @@ class TestCli:
         path.write_text(write_blif(figure4()))
         return str(path)
 
-    def test_required_delay_model_interval_parity(self, fig4_blif, capsys):
+    def test_required_point_spec_parity(self, fig4_blif, tmp_path, capsys):
         assert main(["required", fig4_blif, "--method", "approx1",
                      "--required", "2", "--json"]) == 0
         scalar = json.loads(capsys.readouterr().out)
+        spec = tmp_path / "delays.json"
+        spec.write_text(json.dumps(interval_layout(unit_delay().to_spec())))
         assert main(["required", fig4_blif, "--method", "approx1",
-                     "--required", "2", "--delay-model", "interval",
+                     "--required", "2", "--delay-spec", str(spec),
                      "--json"]) == 0
         interval = json.loads(capsys.readouterr().out)
         # cpu_time is a measured time, outside the time-free canonical
@@ -237,8 +305,7 @@ class TestCli:
 
     def test_required_widened_spec_emits_bounds(self, fig4_blif, tmp_path, capsys):
         spec = tmp_path / "delays.json"
-        model = IntervalDelayModel.from_scalar(unit_delay(), widen=0.5)
-        spec.write_text(json.dumps(model.to_spec()))
+        spec.write_text(json.dumps(unit_delay().widened(0.5).to_spec()))
         assert main(["required", fig4_blif, "--method", "topological",
                      "--required", "2", "--delay-spec", str(spec),
                      "--json"]) == 0
@@ -246,20 +313,24 @@ class TestCli:
         assert row["interval"]["point"] is False
         assert set(row["interval"]["bounds"]) == {"x1", "x2"}
 
-    def test_required_spec_model_mismatch_rejected(self, fig4_blif, tmp_path, capsys):
-        spec = tmp_path / "delays.json"
-        spec.write_text(json.dumps(unit_interval_delay().to_spec()))
-        assert main(["required", fig4_blif, "--delay-spec", str(spec),
-                     "--delay-model", "scalar"]) == 2
-        assert "interval" in capsys.readouterr().err
-
     def test_required_corrupt_spec_rejected(self, fig4_blif, tmp_path, capsys):
         spec = tmp_path / "delays.json"
         spec.write_text('{"model": "bogus"}')
-        # bad file *content* takes the generic error path (1), unlike
-        # flag-validation conflicts which exit 2
-        assert main(["required", fig4_blif, "--delay-spec", str(spec)]) == 1
+        # a bad --delay-spec is refused before any analysis, like a bad flag
+        assert main(["required", fig4_blif, "--delay-spec", str(spec)]) == 2
         assert "unknown delay model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"default": NaN}', '{"default": Infinity}',
+                                      '{"default": 1, "overrides": {"z": [1, NaN]}}',
+                                      # an integer past the float range
+                                      pytest.param('{"default": 1%s}' % ("0" * 400),
+                                                   id="huge-int")])
+    def test_required_non_finite_spec_exits_2(self, fig4_blif, tmp_path, capsys, text):
+        spec = tmp_path / "delays.json"
+        spec.write_text(text)
+        assert main(["required", fig4_blif, "--method", "approx1",
+                     "--required", "2", "--delay-spec", str(spec)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestIntervalFuzzFamily:
@@ -277,6 +348,7 @@ class TestIntervalFuzzFamily:
         assert result.failures == []
         assert set(result.checks_run) <= set(INTERVAL_CHECKS)
         assert "interval-monotonicity" in result.checks_run
+        assert "interval-point-spec" in result.checks_run
 
     def test_runner_family_smoke(self, tmp_path):
         from repro.fuzz import FuzzRunner

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.circuits import carry_skip_block, figure4, parity_tree
+from collections import Counter
+
+from repro.circuits import carry_skip_adder, carry_skip_block, figure4, parity_tree
 from repro.errors import NetworkError, TimingError
 from repro.network import Network
+from repro.obs import start_trace, stop_trace
 from repro.timing.paths import (
     Path,
     classify_path,
+    classify_paths,
     enumerate_paths,
     false_path_report,
     is_statically_sensitizable,
@@ -123,3 +127,34 @@ class TestClassification:
         report = false_path_report(net, arrivals={"x1": 5.0})
         assert report["false"] == 0
         assert report["true"] >= 1
+
+
+def chi_spans(run) -> Counter:
+    """How many spans of each ``chi.*`` kind ``run()`` opens."""
+    start_trace()
+    try:
+        run()
+    finally:
+        trace = stop_trace()
+    return Counter(s.name for s, _ in trace.walk() if s.name.startswith("chi."))
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    def test_shared_endpoint_computes_one_true_arrival(self, engine):
+        net = carry_skip_adder(3, 3)
+        paths = longest_paths(net)
+        assert len(paths) == 4 and len({p.end for p in paths}) == 1
+        verdicts = []
+        spans = chi_spans(
+            lambda: verdicts.extend(classify_paths(net, paths, engine=engine))
+        )
+        assert verdicts == [classify_path(net, p, engine=engine) for p in paths]
+        assert spans["chi.candidate_times"] == 1
+        assert spans["chi.true_arrival"] == 1
+
+    def test_report_computes_one_true_arrival_per_endpoint(self):
+        net = carry_skip_block()
+        spans = chi_spans(lambda: false_path_report(net))
+        assert spans["chi.candidate_times"] == 1
+        assert spans["chi.true_arrival"] == len(net.outputs)
