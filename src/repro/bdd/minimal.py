@@ -171,8 +171,8 @@ def monotone_primes(node: BddNode) -> Iterator[frozenset[str]]:
     m = node.manager
     if node.id == FALSE:
         return
-    support = sorted(m.support(node))
-    minimal = minimal_elements(node, support)
+    support = m.support(node)
+    minimal = minimal_elements(node, sorted(support))
     seen: set[frozenset[str]] = set()
     for cube in m.cube_iter(minimal):
         prime = frozenset(n for n, v in cube.items() if v == 1 and n in support)

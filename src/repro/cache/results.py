@@ -49,12 +49,13 @@ def loosest_profile_times(result, baseline: Mapping[str, float]) -> dict[str, fl
     Profiles are *alternative* safe assignments; coordinates from
     different profiles must not be mixed.  Picks the profile with the
     greatest total looseness gain over the baseline (ties broken
-    lexicographically on the rendered profile, so the choice is
-    deterministic), falling back to the baseline when there are none.
+    lexicographically on the profile's name-sorted ``times``, so the
+    choice is deterministic), falling back to the baseline when there
+    are none.
     """
     best = dict(baseline)
     best_gain = 0.0
-    for profile in sorted(result.profiles, key=lambda p: sorted(p.as_dict().items())):
+    for profile in sorted(result.profiles, key=lambda p: p.times):
         times = profile.value_independent()
         gain = sum(
             (t - baseline[x]) if t != INF else 1.0
@@ -65,6 +66,29 @@ def loosest_profile_times(result, baseline: Mapping[str, float]) -> dict[str, fl
             best_gain = gain
             best = {x: times.get(x, baseline[x]) for x in baseline}
     return best
+
+
+def _profile_rows(profiles) -> list[list]:
+    """Approx-1 profiles in the JSON value model: ``[[name, [r0, r1]], ...]``.
+
+    Equal entries are one shared list, so the profiles of one result
+    (which often differ in a few inputs each) keep one copy of what they
+    have in common.  Within one result, a name's ``r0`` and ``r1`` each
+    come from one strictly ascending chain of times or are ``inf``, so
+    two entries equal as floats also render alike.
+    """
+    shared: dict[tuple[str, tuple[float, float]], list] = {}
+    rows = []
+    for profile in profiles:
+        row = []
+        for entry in profile.times:
+            item = shared.get(entry)
+            if item is None:
+                name, (r0, r1) = entry
+                item = shared[entry] = [name, [r0, r1]]
+            row.append(item)
+        rows.append(row)
+    return rows
 
 
 def exact_row_counts(relation, max_inputs: int) -> dict:
@@ -93,10 +117,11 @@ def summarize_report(
 ) -> tuple[dict, dict[str, float] | None]:
     """Reduce one :class:`RequiredTimeReport` to ``(digest, input_times)``.
 
-    ``digest`` is the method-specific canonical payload; ``input_times``
-    is the value-independent per-input requirement (the min-merge
-    currency), or the baseline when the method yields no single safe
-    vector (exact) or the run aborted.
+    ``digest`` is the method-specific canonical payload, built once in
+    the JSON value model (what :func:`jsonify` would return) and never
+    mutated afterwards; ``input_times`` is the value-independent
+    per-input requirement (the min-merge currency), or the baseline when
+    the method yields no single safe vector (exact) or the run aborted.
     """
     method = report.method
     detail = report.detail
@@ -106,13 +131,13 @@ def summarize_report(
         input_times = dict(detail)
     elif method == "approx2" and detail is not None:
         digest["checks"] = getattr(detail, "checks", None)
-        digest["best"] = dict(detail.best)
-        digest["r_bottom"] = dict(detail.r_bottom)
+        digest["best"] = jsonify(detail.best)
+        digest["r_bottom"] = jsonify(detail.r_bottom)
         input_times = dict(detail.best)
     elif method == "approx1" and detail is not None:
         digest["num_parameters"] = detail.num_parameters
         digest["primes"] = [sorted(p) for p in detail.primes]
-        digest["profiles"] = [sorted(pr.as_dict().items()) for pr in detail.profiles]
+        digest["profiles"] = _profile_rows(detail.profiles)
         input_times = loosest_profile_times(detail, baseline)
     elif method == "exact" and detail is not None and not report.aborted:
         digest["leaf_variables"] = detail.num_leaf_variables
@@ -127,7 +152,7 @@ def summarize_report(
     # canonical row; point-interval runs have no stamp, so their digests
     # stay byte-identical to scalar ones (docs/DELAY_MODELS.md)
     if "interval" in report.stats:
-        digest["interval"] = report.stats["interval"]
+        digest["interval"] = jsonify(report.stats["interval"])
     return digest, input_times
 
 
@@ -176,7 +201,7 @@ class CachedRequiredResult:
             aborted=report.aborted,
             abort_reason=report.abort_reason,
             stats=jsonify(report.stats),
-            digest=jsonify(digest),
+            digest=digest,
             input_times=None if input_times is None else dict(input_times),
             baseline=dict(baseline),
         )
@@ -232,19 +257,22 @@ class CachedRequiredResult:
         return "memory out" if "node budget" in reason else "aborted"
 
     def row(self) -> dict:
-        """The canonical (time-free) row — the parity-gate currency."""
-        return jsonify(
-            {
-                "circuit": self.circuit,
-                "method": self.method,
-                "outputs": self.outputs,
-                "nontrivial": self.nontrivial,
-                "status": self.status,
-                "digest": self.digest,
-                "input_times": self.input_times,
-                "baseline": self.baseline,
-            }
-        )
+        """The canonical (time-free) row — the parity-gate currency.
+
+        The digest is embedded as it is, not copied: it is in the JSON
+        value model and read-only from construction on (``from_report``
+        builds it so, ``from_payload`` reads it from JSON).
+        """
+        return {
+            "circuit": self.circuit,
+            "method": self.method,
+            "outputs": jsonify(self.outputs),
+            "nontrivial": self.nontrivial,
+            "status": self.status,
+            "digest": self.digest,
+            "input_times": jsonify(self.input_times),
+            "baseline": jsonify(self.baseline),
+        }
 
     def table_row(self) -> dict:
         """The machine-readable row (matches ``RequiredTimeReport``)."""

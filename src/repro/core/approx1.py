@@ -20,6 +20,7 @@ a proper subset of the parameter set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -195,7 +196,8 @@ class Approx1Analysis:
         parameter_names = [n for names in chains.values() for n in names]
         with span("approx1.enumerate_primes"):
             primes = sorted(monotone_primes(f), key=lambda p: (len(p), sorted(p)))
-        profiles = [self._prime_to_profile(p, chains) for p in primes]
+        chain_of = {name: key for key, names in chains.items() for name in names}
+        profiles = [self._prime_to_profile(p, chains, chain_of) for p in primes]
         full = frozenset(parameter_names)
         nontrivial = any(p != full for p in primes)
         return Approx1Result(
@@ -209,7 +211,10 @@ class Approx1Analysis:
         )
 
     def _prime_to_profile(
-        self, prime: frozenset[str], chains: dict[tuple[str, int], list[str]]
+        self,
+        prime: frozenset[str],
+        chains: dict[tuple[str, int], list[str]],
+        chain_of: Mapping[str, tuple[str, int]],
     ) -> RequiredTimeProfile:
         """Interpret one prime as per-input, per-value required times.
 
@@ -218,23 +223,24 @@ class Approx1Analysis:
         matters when α_1..α_{j-1} are all 1).  With k of p parameters set,
         the earliest time whose leaf χ is forced to the literal is
         t_{p-k+1}; with k = 0 the input is never required for that value.
+
+        ``chain_of`` names each parameter's chain, so counting and the
+        prefix test touch each parameter of the prime once.
         """
+        count = Counter(map(chain_of.__getitem__, prime))
+        for key, k in count.items():
+            # k parameters of this chain are set: a prefix iff its first k are
+            if not prime.issuperset(chains[key][:k]):
+                raise TimingError(
+                    f"non-prefix prime on chain {chains[key]}: {sorted(prime)}"
+                )
+        for_zero, for_one = self.leaves.for_zero, self.leaves.for_one
         times: dict[str, tuple[float, float]] = {}
         for pi in self.network.inputs:
-            per_value: dict[int, float] = {}
-            for value, table in ((1, self.leaves.for_one), (0, self.leaves.for_zero)):
-                chain = chains.get((pi, value), [])
-                ts = table.get(pi, ())
-                k = sum(1 for name in chain if name in prime)
-                # prefix sanity: parameters in a prime must be contiguous
-                present = [name in prime for name in chain]
-                if any(present[j] and not all(present[:j]) for j in range(len(chain))):
-                    raise TimingError(
-                        f"non-prefix prime on chain {chain}: {sorted(prime)}"
-                    )
-                if k == 0 or not ts:
-                    per_value[value] = INF
-                else:
-                    per_value[value] = ts[len(ts) - k]
-            times[pi] = (per_value[0], per_value[1])
+            # t_{p-k+1} is the k-th time from the end of t_1 < ... < t_p
+            k0, k1 = count[(pi, 0)], count[(pi, 1)]
+            times[pi] = (
+                for_zero[pi][-k0] if k0 else INF,
+                for_one[pi][-k1] if k1 else INF,
+            )
         return RequiredTimeProfile.from_dict(times)

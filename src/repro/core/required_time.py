@@ -16,6 +16,8 @@ three algorithms is:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -143,6 +145,29 @@ class RequiredTimeReport:
         return row
 
 
+@functools.cache
+def method_options(method: str) -> frozenset[str]:
+    """The options :func:`analyze_required_times` takes for ``method``.
+
+    They are the keywords of the method's analysis class after the
+    network, delays and boundary condition every method shares, read from
+    the constructor so the two cannot drift.  Topological analysis takes
+    none; an unknown method raises :class:`TimingError`.
+    """
+    if method == "topological":
+        return frozenset()
+    if method == "exact":
+        from repro.core.exact import ExactAnalysis as analysis
+    elif method == "approx1":
+        from repro.core.approx1 import Approx1Analysis as analysis
+    elif method == "approx2":
+        from repro.core.approx2 import Approx2Analysis as analysis
+    else:
+        raise TimingError(f"unknown method {method!r}")
+    shared = {"self", "network", "delays", "output_required"}
+    return frozenset(inspect.signature(analysis.__init__).parameters) - shared
+
+
 def analyze_required_times(
     network: Network,
     method: Method,
@@ -153,9 +178,10 @@ def analyze_required_times(
     """Unified entry point: run one of the paper's algorithms end to end.
 
     ``options`` are forwarded to the method class (``max_nodes`` and
-    ``reorder`` for exact/approx1, ``engine`` / budgets for approx2).
-    Resource exhaustion is reported in the result instead of raised,
-    mirroring the paper's table annotations.
+    ``reorder`` for exact/approx1, ``engine`` / budgets for approx2); an
+    option the method does not take (:func:`method_options`) raises
+    :class:`TimingError`.  Resource exhaustion is reported in the result
+    instead of raised, mirroring the paper's table annotations.
 
     The engines read the hi corner of ``delays``; when the model carries
     ``[lo, hi]`` bounds on a gate of ``network``, the input-requirement
@@ -167,6 +193,9 @@ def analyze_required_times(
     and nothing else (:func:`~repro.timing.required_map`); every method
     raises the same :class:`TimingError` otherwise.
     """
+    extra = sorted(set(options) - method_options(method))
+    if extra:
+        raise TimingError(f"method {method!r} does not take the options {extra}")
     delays = delays or unit_delay()
     if isinstance(output_required, Mapping):
         output_required = required_map(network, output_required)

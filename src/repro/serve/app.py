@@ -49,6 +49,7 @@ from ..cache import (
     required_key,
     store_result,
 )
+from ..core.required_time import method_options
 from ..eco import NetworkSession
 from ..errors import EcoError, ReproError, ServeError
 from ..obs import REGISTRY
@@ -77,6 +78,20 @@ DEBUG_TASK_KINDS = ("_test_probe", "_test_sleep", "_test_kill", "_test_fail")
 TRACE_RING_SIZE = 256
 
 _STOP = object()
+
+
+def _required_time(value) -> float:
+    """One required time of a request: a JSON number, not a boolean."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ServeError(
+        "'output_required' must be a number or an output->number map",
+        status=400,
+        code="bad-required",
+    )
 
 
 @dataclass
@@ -518,17 +533,11 @@ class ReproServer:
             )
         output_required = body.get("output_required", 0.0)
         if isinstance(output_required, dict):
-            output_required = {str(k): float(v) for k, v in output_required.items()}
-        elif isinstance(output_required, (int, float)) and not isinstance(
-            output_required, bool
-        ):
-            output_required = float(output_required)
+            output_required = {
+                str(k): _required_time(v) for k, v in output_required.items()
+            }
         else:
-            raise ServeError(
-                "'output_required' must be a number or an output->number map",
-                status=400,
-                code="bad-required",
-            )
+            output_required = _required_time(output_required)
         delays = None
         if body.get("delays") is not None:
             from ..timing.delay import DelayModel
@@ -548,7 +557,23 @@ class ReproServer:
                 status=400,
                 code="bad-options",
             )
-        if options.get("backend") is None and self.config.backend is not None:
+        # exact_row_counts is the cache layer's own option: it widens the
+        # exact digest and never reaches the engine
+        takes = method_options(method) | (
+            {"exact_row_counts"} if method == "exact" else set()
+        )
+        misplaced = sorted(set(options) - takes)
+        if misplaced:
+            raise ServeError(
+                f"method {method!r} does not take the options {misplaced}",
+                status=400,
+                code="bad-options",
+            )
+        if (
+            options.get("backend") is None
+            and self.config.backend is not None
+            and "backend" in takes
+        ):
             options["backend"] = self.config.backend
         if options.get("backend") is not None:
             from ..bdd.api import resolve_backend

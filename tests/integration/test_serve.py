@@ -215,6 +215,65 @@ class TestBoundaryConditions:
         assert status == 400, payload
         assert payload["error"] == "bad-options"
 
+    def test_non_numeric_required_map_value_is_400_bad_required(self, client):
+        for value in ("soon", True, None, [1.0], 10**400):
+            for path in ("/required", "/sessions"):
+                status, payload, _ = self.post(
+                    client, path, {"G22": value, "G23": 1.0}
+                )
+                assert status == 400, (value, path, payload)
+                assert payload["error"] == "bad-required"
+
+    def test_boolean_required_scalar_is_400_bad_required(self, client):
+        for path in ("/required", "/sessions"):
+            status, payload, _ = self.post(client, path, True)
+            assert status == 400, payload
+            assert payload["error"] == "bad-required"
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            ("exact", {"engine": "sat"}),
+            ("approx1", {"max_checks": 10}),
+            ("approx2", {"backend": "object"}),
+            ("topological", {"max_nodes": 1000}),
+        ],
+    )
+    def test_option_the_method_does_not_take_is_400(self, client, method, options):
+        for path in ("/required", "/sessions"):
+            status, payload, _ = client.post(
+                path,
+                {"circuit": {"netlist": FIG4_BLIF}, "method": method,
+                 "output_required": 2.0, "options": options},
+            )
+            assert status == 400, (path, payload)
+            assert payload["error"] == "bad-options"
+            assert method in payload["message"]
+            assert next(iter(options)) in payload["message"]
+
+
+class TestConfiguredBackend:
+    """``serve --backend NAME`` reaches only the methods that take one."""
+
+    @pytest.fixture
+    def client(self):
+        config = ServerConfig(port=0, jobs=1, backend="object")
+        with ReproServer(config) as server:
+            yield ServeClient(server.port)
+
+    @pytest.mark.parametrize(
+        "method", ["topological", "exact", "approx1", "approx2"]
+    )
+    def test_every_method_answers(self, client, method):
+        body = {"circuit": {"netlist": FIG4_BLIF}, "method": method,
+                "output_required": 2.0}
+        status, payload, _ = client.post("/required", body)
+        assert status == 200, payload
+        assert payload["cache"] == "miss"
+        status, payload, _ = client.post("/sessions", body)
+        assert status == 200, payload
+        assert payload["failed"] == []
+
 
 class TestCoalescing:
     def test_identical_concurrent_requests_share_one_computation(self, cached_server):

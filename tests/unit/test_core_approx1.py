@@ -118,3 +118,45 @@ class TestProfileStructure:
         result = Approx1Analysis(net, output_required={"z": 2.0, "y": 2.0}).run()
         # still a valid monotone analysis with at least one prime
         assert result.primes
+
+
+class TestPrimeReading:
+    """One prime read as a profile: the prefix rule and the t_{p-k+1} time."""
+
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        analysis = Approx1Analysis(figure4(), output_required=2.0)
+        analysis.build_f()
+        return analysis
+
+    @staticmethod
+    def read(analysis, prime):
+        _, chains = analysis.build_f()
+        chain_of = {name: key for key, names in chains.items() for name in names}
+        return analysis._prime_to_profile(frozenset(prime), chains, chain_of)
+
+    def test_non_prefix_prime_raises(self, analysis):
+        # the paper's prime with α_1 of x2 taken out: α_2 without α_1
+        prime = {"alpha[x1,1]", "alpha[x2,2]", "beta[x1,1]", "beta[x2,1]"}
+        with pytest.raises(TimingError, match="non-prefix prime"):
+            self.read(analysis, prime)
+
+    def test_lone_later_parameter_raises(self, analysis):
+        with pytest.raises(TimingError, match=r"non-prefix prime on chain"):
+            self.read(analysis, {"beta[x2,2]"})
+
+    def test_prefix_of_k_reads_t_p_minus_k_plus_1(self, analysis):
+        _, chains = analysis.build_f()
+        leaves = analysis.leaves
+        assert max(len(chain) for chain in chains.values()) == 2
+        for (pi, value), chain in chains.items():
+            times = (leaves.for_one if value else leaves.for_zero)[pi]
+            p = len(chain)
+            for k in range(p + 1):
+                profile = self.read(analysis, chain[:k])
+                # times are t_1 < ... < t_p; t_{p-k+1} is times[p - k]
+                want = INF if k == 0 else times[p - k]
+                assert profile.of(pi)[value] == want, (pi, value, k)
+                for other in analysis.network.inputs:
+                    if other != pi:
+                        assert profile.of(other) == (INF, INF)

@@ -14,6 +14,7 @@ from repro.core.required_time import (
     RequiredTimeProfile,
     analyze_required_times,
     format_time,
+    method_options,
     topological_input_required_times,
 )
 from repro.errors import TimingError
@@ -98,6 +99,34 @@ class TestFacade:
     def test_unknown_method_rejected(self):
         with pytest.raises(TimingError):
             analyze_required_times(figure4(), "magic", output_required=2.0)
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [
+            ("topological", "delay_model"),
+            ("topological", "backend"),
+            ("exact", "engine"),
+            ("approx1", "max_checks"),
+            ("approx2", "backend"),
+            ("approx2", "max_nodes"),
+        ],
+    )
+    def test_option_the_method_does_not_take_rejected(self, method, option):
+        with pytest.raises(TimingError, match=rf"{method}.*{option}"):
+            analyze_required_times(
+                figure4(), method, output_required=2.0, **{option: "x"}
+            )
+
+    def test_method_options_follow_the_constructors(self):
+        assert method_options("topological") == frozenset()
+        shared = {"self", "network", "delays", "output_required"}
+        for method in ("exact", "approx1", "approx2"):
+            assert not method_options(method) & shared
+        assert {"max_nodes", "reorder", "backend"} <= method_options("exact")
+        assert {"max_nodes", "reorder", "backend"} <= method_options("approx1")
+        assert {"engine", "max_checks", "time_budget"} <= method_options("approx2")
+        with pytest.raises(TimingError, match="unknown method"):
+            method_options("magic")
 
     @pytest.mark.parametrize("method", ["topological", "exact", "approx1", "approx2"])
     def test_required_map_naming_an_internal_node_rejected(self, method):
